@@ -66,9 +66,10 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
+    std::size_t max_chunks) {
     if (n == 0) return;
-    if (n_threads_ == 1 || n == 1) {
+    if (n_threads_ == 1 || n == 1 || max_chunks <= 1) {
         body(0, n);
         return;
     }
@@ -82,7 +83,7 @@ void ThreadPool::parallel_for(
         job_n_ = n;
         // A few chunks per thread balances uneven rows without shrinking the
         // per-chunk work below the claim overhead.
-        job_chunks_ = std::min(n, n_threads_ * 4);
+        job_chunks_ = std::min({n, n_threads_ * 4, max_chunks});
         next_chunk_ = 0;
         chunks_done_ = 0;
         first_error_ = nullptr;

@@ -15,6 +15,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -22,6 +23,12 @@
 #include <vector>
 
 namespace efld {
+
+// Smallest slice of streamed memory (weight codes, KV history) worth one
+// parallel_for chunk: below it, waking a worker and joining it costs more than
+// the slice takes to walk, so callers pass `bytes / kMinChunkBytes` as
+// max_chunks and small work stays on the calling thread.
+inline constexpr std::size_t kMinChunkBytes = 128 * 1024;
 
 class ThreadPool {
 public:
@@ -35,12 +42,15 @@ public:
 
     [[nodiscard]] std::size_t size() const noexcept { return n_threads_; }
 
-    // Runs `body(begin, end)` over a disjoint chunking of [0, n) and blocks
-    // until every chunk finished. Re-entrant calls from inside a body are not
-    // supported. The first exception thrown by a body is rethrown here after
-    // all chunks complete.
+    // Runs `body(begin, end)` over a disjoint chunking of [0, n) into at most
+    // `max_chunks` chunks and blocks until every chunk finished; with
+    // max_chunks <= 1 it is the inline call body(0, n). Callers size
+    // max_chunks from the bytes their work streams (see kMinChunkBytes).
+    // Re-entrant calls from inside a body are not supported. The first
+    // exception thrown by a body is rethrown here after all chunks complete.
     void parallel_for(std::size_t n,
-                      const std::function<void(std::size_t, std::size_t)>& body);
+                      const std::function<void(std::size_t, std::size_t)>& body,
+                      std::size_t max_chunks = SIZE_MAX);
 
     // Process-wide pool shared by callers that don't own one (session/bench
     // wiring). Defaults to hardware concurrency on first use.

@@ -357,9 +357,18 @@ void ReferenceEngine::attention_block(std::size_t layer, std::size_t nb,
     };
     const std::size_t n_tasks = nb * cfg_.n_kv_heads;
     if (ThreadPool* p = pool(); p != nullptr) {
-        p->parallel_for(n_tasks, [&](std::size_t b, std::size_t e) {
-            for (std::size_t t = b; t < e; ++t) lane_kv_task(t);
-        });
+        // Split by the K and V history the step streams, like the projections.
+        std::size_t kv_bytes = 0;
+        for (std::size_t b = 0; b < nb; ++b) {
+            kv_bytes += (pos_[slots[b]] + 1) * cfg_.n_kv_heads * hd * 2 *
+                        (opts_.use_kv8 ? 1 : sizeof(float));
+        }
+        p->parallel_for(
+            n_tasks,
+            [&](std::size_t b, std::size_t e) {
+                for (std::size_t t = b; t < e; ++t) lane_kv_task(t);
+            },
+            kv_bytes / kMinChunkBytes);
     } else {
         for (std::size_t t = 0; t < n_tasks; ++t) lane_kv_task(t);
     }

@@ -90,13 +90,18 @@ std::string FlightRecorder::capture(const std::string& reason,
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) return "";
     out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    out.flush();
-    return out ? path : "";
+    out.close();
+    if (!out) return "";
+    // Counted only once the bundle is on disk, so a reader that sees
+    // captures() move can open the file.
+    std::lock_guard<std::mutex> lock(mu_);
+    ++written_;
+    return path;
 }
 
 std::uint64_t FlightRecorder::captures() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return seq_;
+    return written_;
 }
 
 std::uint64_t FlightRecorder::suppressed() const {

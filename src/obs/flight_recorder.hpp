@@ -61,6 +61,7 @@ public:
                         const AlertEngine* alerts,
                         const TimeSeriesStore* store);
 
+    // Bundles fully written to disk.
     [[nodiscard]] std::uint64_t captures() const;
     [[nodiscard]] std::uint64_t suppressed() const;
     [[nodiscard]] const Options& options() const noexcept { return opts_; }
@@ -69,7 +70,8 @@ private:
     Options opts_;
     const Clock* clock_;
     mutable std::mutex mu_;
-    std::uint64_t seq_ = 0;
+    std::uint64_t seq_ = 0;      // next bundle's sequence number
+    std::uint64_t written_ = 0;  // bundles on disk
     std::uint64_t suppressed_ = 0;
     std::uint64_t last_capture_ns_ = 0;
     bool captured_once_ = false;

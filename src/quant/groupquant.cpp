@@ -7,6 +7,10 @@
 #include "common/check.hpp"
 #include "common/threadpool.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace efld::quant {
 
 namespace {
@@ -17,20 +21,221 @@ inline float lane_tree_sum(const float p[kGemvLanes]) noexcept {
     return ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
 }
 
-// The fast paths keep the kGemvLanes partial sums in one 8-float vector where
-// the compiler supports it: each SIMD lane IS a contract lane, every lane
+// The fast paths keep the kGemvLanes partial sums in SIMD registers where the
+// compiler supports it: each SIMD lane IS a contract lane, every lane
 // performs the same correctly-rounded convert/mul/add sequence as the scalar
 // code, so results stay bit-for-bit identical to the oracle (FMA contraction
-// is disabled project-wide).
+// is disabled project-wide). Registers are the target's native width — one
+// 8-float register with AVX, two 4-float ones without — so the partial sums
+// stay in registers rather than in a wider vector the compiler would emulate
+// through the stack.
 #if defined(__GNUC__) || defined(__clang__)
 #define EFLD_GEMV_VECTOR 1
-typedef float GemvVf __attribute__((vector_size(kGemvLanes * sizeof(float))));
-typedef int GemvVi __attribute__((vector_size(kGemvLanes * sizeof(int))));
+#if defined(__AVX__)
+inline constexpr std::size_t kVecLanes = 8;
+#else
+inline constexpr std::size_t kVecLanes = 4;
+#endif
+typedef float Vf __attribute__((vector_size(kVecLanes * sizeof(float))));
+typedef int Vi __attribute__((vector_size(kVecLanes * sizeof(int))));
+typedef unsigned Vu __attribute__((vector_size(kVecLanes * sizeof(unsigned))));
 
-inline float lane_tree_sum(const GemvVf& p) noexcept {
-    return ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+// The partial sums of one (row, column): contract lane k is element
+// k % kVecLanes of register k / kVecLanes.
+struct Partials {
+    Vf v[kGemvLanes / kVecLanes];
+};
+
+inline float lane_tree_sum(const Partials& p) noexcept {
+    const auto l = [&p](std::size_t k) { return p.v[k / kVecLanes][k % kVecLanes]; };
+    return ((l(0) + l(1)) + (l(2) + l(3))) + ((l(4) + l(5)) + (l(6) + l(7)));
+}
+
+#if defined(__SSE2__) && !defined(__AVX__)
+// The low four bytes of `v` zero-extended to ints: baseline x86-64 has no
+// widening byte load, so interleave with zeros.
+inline Vi widen_bytes(__m128i v) noexcept {
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i w = _mm_unpacklo_epi16(_mm_unpacklo_epi8(v, zero), zero);
+    Vi out;
+    std::memcpy(&out, &w, sizeof out);
+    return out;
 }
 #endif
+
+// code[0..kVecLanes) - z.
+inline Vf centered_bytes(const std::uint8_t* code, const Vi& zv) noexcept {
+#if defined(__AVX__)
+    const Vi c = {code[0], code[1], code[2], code[3], code[4], code[5], code[6], code[7]};
+#elif defined(__SSE2__)
+    std::int32_t four;
+    std::memcpy(&four, code, sizeof four);
+    const Vi c = widen_bytes(_mm_cvtsi32_si128(four));
+#else
+    const Vi c = {code[0], code[1], code[2], code[3]};
+#endif
+    return __builtin_convertvector(c - zv, Vf);
+}
+
+// Nibbles [0, kVecLanes) of `bits` - z, nibble k on lane k.
+inline Vf centered_nibbles(std::uint64_t bits, const Vi& zv) noexcept {
+#if defined(__SSE2__) && !defined(__AVX__)
+    // No per-lane shifts: split each byte into its two nibbles, interleaved.
+    const __m128i v = _mm_cvtsi32_si128(static_cast<int>(bits & 0xFFFF));
+    const __m128i mask = _mm_set1_epi8(0x0F);
+    const Vi c = widen_bytes(
+        _mm_unpacklo_epi8(_mm_and_si128(v, mask), _mm_and_si128(_mm_srli_epi16(v, 4), mask)));
+#else
+    Vu shift;
+    for (std::size_t k = 0; k < kVecLanes; ++k) shift[k] = static_cast<unsigned>(4 * k);
+    const Vi c = __builtin_convertvector(
+        ((Vu{} + static_cast<unsigned>(bits)) >> shift) & 0xFu, Vi);
+#endif
+    return __builtin_convertvector(c - zv, Vf);
+}
+
+// Adds d * x_b to the register holding contract lanes [e, e + kVecLanes) of
+// each of the NB columns of a tile, `stride` floats apart: one decoded code
+// vector feeds every column before the next is decoded.
+template <std::size_t NB>
+inline void accumulate(Partials (&p)[NB], std::size_t e, const Vf& d, const float* x,
+                       std::size_t stride) noexcept {
+    for (std::size_t b = 0; b < NB; ++b) {
+        Vf xv;
+        std::memcpy(&xv, x + b * stride, sizeof xv);
+        p[b].v[e / kVecLanes] += d * xv;
+    }
+}
+#endif
+
+// One fused GEMM call: the layer's weights (byte codes, or the packed nibble
+// stream when `words` is set), X as [batch][cols], Y as [batch][rows].
+struct GemmArgs {
+    const std::uint8_t* codes = nullptr;
+    const Word512* words = nullptr;
+    const Fp16* scales = nullptr;
+    const std::uint8_t* zeros = nullptr;
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    std::size_t group_size = 0;
+    const float* x = nullptr;
+    std::size_t batch = 0;
+    float* y = nullptr;
+};
+
+// Rows [row_begin, row_end) of one batch tile of NB columns (x, y point at
+// the tile's first column). Each (row, column) pair runs the per-row GEMV
+// recipe of the accumulation contract; a decoded group feeds all NB columns
+// before the next group is touched, so the weights are walked once per tile.
+template <bool Packed, std::size_t NB>
+void tile_rows(const GemmArgs& a, const float* x, float* y, std::size_t row_begin,
+               std::size_t row_end) {
+    const std::size_t rows = a.rows;
+    const std::size_t cols = a.cols;
+    const std::size_t gs = a.group_size;
+    const std::size_t gpr = cols / gs;
+    for (std::size_t r = row_begin; r < row_end; ++r) {
+        const std::uint8_t* code = a.codes + r * cols;  // byte path
+        std::size_t nib = r * cols;                     // packed path
+        const Word512* words = a.words;
+        const Fp16* srow = a.scales + r * gpr;
+        const std::uint8_t* zrow = a.zeros + r * gpr;
+        const float* xg = x;
+        float acc[NB] = {};
+        for (std::size_t g = 0; g < gpr; ++g) {
+            const float s = srow[g].to_float();
+            const int z = zrow[g];
+#if EFLD_GEMV_VECTOR
+            Partials p[NB] = {};
+            const Vi zv = Vi{} + z;
+            if constexpr (Packed) {
+                // Row starts are 16-nibble aligned (cols is a multiple of
+                // group_size, group_size a multiple of 16), so groups walk
+                // whole 64-bit lanes. Elements i..i+7 land on contract lanes
+                // 0..7, then i+8..i+15 on the same lanes again — sequential
+                // vector steps keep each lane's accumulation order identical
+                // to the oracle's.
+                for (std::size_t i = 0; i < gs; i += 16, nib += 16) {
+                    const std::uint64_t lane = words[nib >> 7].lanes[(nib >> 4) & 7];
+                    for (std::size_t e = 0; e < 16; e += kVecLanes) {
+                        accumulate(p, e % kGemvLanes, centered_nibbles(lane >> (4 * e), zv),
+                                   xg + i + e, cols);
+                    }
+                }
+            } else {
+                std::size_t i = 0;
+                for (; i + kGemvLanes <= gs; i += kGemvLanes) {
+                    for (std::size_t e = 0; e < kGemvLanes; e += kVecLanes) {
+                        accumulate(p, e, centered_bytes(code + i + e, zv), xg + i + e, cols);
+                    }
+                }
+                for (; i < gs; ++i) {
+                    const std::size_t k = i % kGemvLanes;
+                    const float d = static_cast<float>(static_cast<int>(code[i]) - z);
+                    for (std::size_t b = 0; b < NB; ++b) {
+                        p[b].v[k / kVecLanes][k % kVecLanes] += d * xg[b * cols + i];
+                    }
+                }
+            }
+#else
+            float p[NB][kGemvLanes] = {};
+            for (std::size_t i = 0; i < gs; ++i, ++nib) {
+                const std::uint64_t lane = Packed ? words[nib >> 7].lanes[(nib >> 4) & 7] : 0;
+                const int c = Packed ? static_cast<int>((lane >> (4 * (nib & 15))) & 0xF) : code[i];
+                const float d = static_cast<float>(c - z);
+                for (std::size_t b = 0; b < NB; ++b) {
+                    p[b][i % kGemvLanes] += d * xg[b * cols + i];
+                }
+            }
+#endif
+            for (std::size_t b = 0; b < NB; ++b) acc[b] += s * lane_tree_sum(p[b]);
+            code += gs;
+            xg += gs;
+        }
+        for (std::size_t b = 0; b < NB; ++b) y[b * rows + r] = acc[b];
+    }
+}
+
+// Rows [row_begin, row_end) of the whole batch: full tiles of kGemmBatchTile
+// columns, then the remainder, each tile width its own compiled kernel.
+static_assert(kGemmBatchTile == 8, "gemm_rows dispatches tile widths 1..8");
+template <bool Packed>
+void gemm_rows(const GemmArgs& a, std::size_t row_begin, std::size_t row_end) {
+    for (std::size_t bt = 0; bt < a.batch; bt += kGemmBatchTile) {
+        const float* x = a.x + bt * a.cols;
+        float* y = a.y + bt * a.rows;
+        switch (std::min(kGemmBatchTile, a.batch - bt)) {
+            case 1: tile_rows<Packed, 1>(a, x, y, row_begin, row_end); break;
+            case 2: tile_rows<Packed, 2>(a, x, y, row_begin, row_end); break;
+            case 3: tile_rows<Packed, 3>(a, x, y, row_begin, row_end); break;
+            case 4: tile_rows<Packed, 4>(a, x, y, row_begin, row_end); break;
+            case 5: tile_rows<Packed, 5>(a, x, y, row_begin, row_end); break;
+            case 6: tile_rows<Packed, 6>(a, x, y, row_begin, row_end); break;
+            case 7: tile_rows<Packed, 7>(a, x, y, row_begin, row_end); break;
+            default: tile_rows<Packed, 8>(a, x, y, row_begin, row_end); break;
+        }
+    }
+}
+
+// Partitions rows across `pool`, each chunk streaming at least
+// kMinChunkBytes of weight codes.
+template <bool Packed>
+void run_gemm(const GemmArgs& a, ThreadPool* pool) {
+    if (pool == nullptr) {
+        gemm_rows<Packed>(a, 0, a.rows);
+        return;
+    }
+    const std::size_t code_bytes = Packed ? a.rows * a.cols / 2 : a.rows * a.cols;
+    pool->parallel_for(
+        a.rows, [&](std::size_t b, std::size_t e) { gemm_rows<Packed>(a, b, e); },
+        code_bytes / kMinChunkBytes);
+}
+
+GemmArgs gemm_args(const QuantizedLinear& q, const Word512* words, const float* x,
+                   std::size_t batch, float* y) {
+    return GemmArgs{q.codes().data(), words, q.scales().data(), q.zeros().data(), q.rows(),
+                    q.cols(), q.config().group_size, x, batch, y};
+}
 
 }  // namespace
 
@@ -154,72 +359,11 @@ std::vector<float> QuantizedLinear::gemv_seed_baseline(std::span<const float> x)
     return y;
 }
 
-void QuantizedLinear::gemv_rows(const float* x, float* y, std::size_t row_begin,
-                                std::size_t row_end) const {
-    const std::size_t gs = cfg_.group_size;
-    const std::size_t gpr = groups_per_row();
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        const std::uint8_t* code = codes_.data() + r * cols_;
-        const Fp16* srow = scales_.data() + r * gpr;
-        const std::uint8_t* zrow = zeros_.data() + r * gpr;
-        const float* xg = x;
-        float acc = 0.0f;
-        for (std::size_t g = 0; g < gpr; ++g) {
-            const float s = srow[g].to_float();
-            const int z = zrow[g];
-#if EFLD_GEMV_VECTOR
-            GemvVf p = {};
-            const GemvVi zv = {z, z, z, z, z, z, z, z};
-            std::size_t i = 0;
-            for (; i + kGemvLanes <= gs; i += kGemvLanes) {
-                const GemvVi ci = {code[i + 0], code[i + 1], code[i + 2], code[i + 3],
-                                   code[i + 4], code[i + 5], code[i + 6], code[i + 7]};
-                const GemvVf d = __builtin_convertvector(ci - zv, GemvVf);
-                GemvVf xv;
-                std::memcpy(&xv, xg + i, sizeof xv);
-                p += d * xv;
-            }
-            for (; i < gs; ++i) {
-                p[i % kGemvLanes] +=
-                    static_cast<float>(static_cast<int>(code[i]) - z) * xg[i];
-            }
-#else
-            float p[kGemvLanes] = {};
-            std::size_t i = 0;
-            for (; i + kGemvLanes <= gs; i += kGemvLanes) {
-                p[0] += static_cast<float>(static_cast<int>(code[i + 0]) - z) * xg[i + 0];
-                p[1] += static_cast<float>(static_cast<int>(code[i + 1]) - z) * xg[i + 1];
-                p[2] += static_cast<float>(static_cast<int>(code[i + 2]) - z) * xg[i + 2];
-                p[3] += static_cast<float>(static_cast<int>(code[i + 3]) - z) * xg[i + 3];
-                p[4] += static_cast<float>(static_cast<int>(code[i + 4]) - z) * xg[i + 4];
-                p[5] += static_cast<float>(static_cast<int>(code[i + 5]) - z) * xg[i + 5];
-                p[6] += static_cast<float>(static_cast<int>(code[i + 6]) - z) * xg[i + 6];
-                p[7] += static_cast<float>(static_cast<int>(code[i + 7]) - z) * xg[i + 7];
-            }
-            for (; i < gs; ++i) {
-                p[i % kGemvLanes] +=
-                    static_cast<float>(static_cast<int>(code[i]) - z) * xg[i];
-            }
-#endif
-            acc += s * lane_tree_sum(p);
-            code += gs;
-            xg += gs;
-        }
-        y[r] = acc;
-    }
-}
-
 void QuantizedLinear::gemv(std::span<const float> x, std::span<float> y,
                            ThreadPool* pool) const {
     check(x.size() == cols_, "gemv: input size mismatch");
     check(y.size() == rows_, "gemv: output size mismatch");
-    if (pool != nullptr && pool->size() > 1 && rows_ > 1) {
-        pool->parallel_for(rows_, [&](std::size_t b, std::size_t e) {
-            gemv_rows(x.data(), y.data(), b, e);
-        });
-    } else {
-        gemv_rows(x.data(), y.data(), 0, rows_);
-    }
+    run_gemm<false>(gemm_args(*this, nullptr, x.data(), 1, y.data()), pool);
 }
 
 void QuantizedLinear::gemm_reference(std::span<const float> x, std::size_t batch,
@@ -232,151 +376,17 @@ void QuantizedLinear::gemm_reference(std::span<const float> x, std::size_t batch
     }
 }
 
-void QuantizedLinear::gemm_rows(const float* x, std::size_t batch, float* y,
-                                std::size_t row_begin, std::size_t row_end) const {
-    const std::size_t gs = cfg_.group_size;
-    const std::size_t gpr = groups_per_row();
-    // Batch columns run in register tiles: one decoded group feeds every
-    // column of the tile before the next group is touched, so the code bytes
-    // are read rows*cols times total regardless of batch — the weight walk is
-    // amortized across the tile.
-    for (std::size_t bt = 0; bt < batch; bt += kGemmBatchTile) {
-        const std::size_t nb = std::min(kGemmBatchTile, batch - bt);
-        for (std::size_t r = row_begin; r < row_end; ++r) {
-            const std::uint8_t* code = codes_.data() + r * cols_;
-            const Fp16* srow = scales_.data() + r * gpr;
-            const std::uint8_t* zrow = zeros_.data() + r * gpr;
-            float acc[kGemmBatchTile] = {};
-            for (std::size_t g = 0; g < gpr; ++g) {
-                const float s = srow[g].to_float();
-                const int z = zrow[g];
-                const std::size_t xoff = g * gs;
-#if EFLD_GEMV_VECTOR
-                GemvVf p[kGemmBatchTile] = {};
-                const GemvVi zv = {z, z, z, z, z, z, z, z};
-                std::size_t i = 0;
-                for (; i + kGemvLanes <= gs; i += kGemvLanes) {
-                    const GemvVi ci = {code[i + 0], code[i + 1], code[i + 2], code[i + 3],
-                                       code[i + 4], code[i + 5], code[i + 6], code[i + 7]};
-                    const GemvVf d = __builtin_convertvector(ci - zv, GemvVf);
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        GemvVf xv;
-                        std::memcpy(&xv, x + (bt + b) * cols_ + xoff + i, sizeof xv);
-                        p[b] += d * xv;
-                    }
-                }
-                for (; i < gs; ++i) {
-                    const float d = static_cast<float>(static_cast<int>(code[i]) - z);
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        p[b][i % kGemvLanes] += d * x[(bt + b) * cols_ + xoff + i];
-                    }
-                }
-                for (std::size_t b = 0; b < nb; ++b) acc[b] += s * lane_tree_sum(p[b]);
-#else
-                float p[kGemmBatchTile][kGemvLanes] = {};
-                std::size_t i = 0;
-                for (; i < gs; ++i) {
-                    const float d = static_cast<float>(static_cast<int>(code[i]) - z);
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        p[b][i % kGemvLanes] += d * x[(bt + b) * cols_ + xoff + i];
-                    }
-                }
-                for (std::size_t b = 0; b < nb; ++b) acc[b] += s * lane_tree_sum(p[b]);
-#endif
-                code += gs;
-            }
-            for (std::size_t b = 0; b < nb; ++b) y[(bt + b) * rows_ + r] = acc[b];
-        }
-    }
-}
-
 void QuantizedLinear::gemm(std::span<const float> x, std::size_t batch,
                            std::span<float> y, ThreadPool* pool) const {
     check(batch > 0, "gemm: empty batch");
     check(x.size() == batch * cols_, "gemm: input size mismatch");
     check(y.size() == batch * rows_, "gemm: output size mismatch");
-    if (pool != nullptr && pool->size() > 1 && rows_ > 1) {
-        pool->parallel_for(rows_, [&](std::size_t b, std::size_t e) {
-            gemm_rows(x.data(), batch, y.data(), b, e);
-        });
-    } else {
-        gemm_rows(x.data(), batch, y.data(), 0, rows_);
-    }
+    run_gemm<false>(gemm_args(*this, nullptr, x.data(), batch, y.data()), pool);
 }
 
 std::vector<Word512> QuantizedLinear::pack_codes() const {
     check(cfg_.bits == 4, "pack_codes: codes wider than a nibble");
     return pack_nibbles(codes_);
-}
-
-void QuantizedLinear::gemv_packed_rows(const Word512* words, const float* x, float* y,
-                                       std::size_t row_begin, std::size_t row_end) const {
-    const std::size_t gs = cfg_.group_size;
-    const std::size_t gpr = groups_per_row();
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        // Row starts are 16-nibble aligned (cols is a multiple of group_size,
-        // group_size a multiple of 16), so groups walk whole 64-bit lanes.
-        std::size_t nib = r * cols_;
-        const Fp16* srow = scales_.data() + r * gpr;
-        const std::uint8_t* zrow = zeros_.data() + r * gpr;
-        float acc = 0.0f;
-        for (std::size_t g = 0; g < gpr; ++g) {
-            const float s = srow[g].to_float();
-            const int z = zrow[g];
-            const float* xg = x + g * gs;
-#if EFLD_GEMV_VECTOR
-            GemvVf p = {};
-            const GemvVi zv = {z, z, z, z, z, z, z, z};
-            for (std::size_t i = 0; i < gs; i += 16, nib += 16) {
-                const std::uint64_t lane = words[nib >> 7].lanes[(nib >> 4) & 7];
-                const float* xl = xg + i;
-                // Elements i..i+7 land on contract lanes 0..7, then i+8..i+15
-                // on the same lanes again — two sequential vector steps keep
-                // each lane's accumulation order identical to the oracle's.
-                const GemvVi c0 = {
-                    static_cast<int>((lane >> 0) & 0xF),  static_cast<int>((lane >> 4) & 0xF),
-                    static_cast<int>((lane >> 8) & 0xF),  static_cast<int>((lane >> 12) & 0xF),
-                    static_cast<int>((lane >> 16) & 0xF), static_cast<int>((lane >> 20) & 0xF),
-                    static_cast<int>((lane >> 24) & 0xF), static_cast<int>((lane >> 28) & 0xF)};
-                const GemvVi c1 = {
-                    static_cast<int>((lane >> 32) & 0xF), static_cast<int>((lane >> 36) & 0xF),
-                    static_cast<int>((lane >> 40) & 0xF), static_cast<int>((lane >> 44) & 0xF),
-                    static_cast<int>((lane >> 48) & 0xF), static_cast<int>((lane >> 52) & 0xF),
-                    static_cast<int>((lane >> 56) & 0xF), static_cast<int>((lane >> 60) & 0xF)};
-                GemvVf x0, x1;
-                std::memcpy(&x0, xl, sizeof x0);
-                std::memcpy(&x1, xl + kGemvLanes, sizeof x1);
-                p += __builtin_convertvector(c0 - zv, GemvVf) * x0;
-                p += __builtin_convertvector(c1 - zv, GemvVf) * x1;
-            }
-            acc += s * lane_tree_sum(p);
-#else
-            float p[kGemvLanes] = {};
-            for (std::size_t i = 0; i < gs; i += 16, nib += 16) {
-                const std::uint64_t lane = words[nib >> 7].lanes[(nib >> 4) & 7];
-                const float* xl = xg + i;
-                p[0] += static_cast<float>(static_cast<int>((lane >> 0) & 0xF) - z) * xl[0];
-                p[1] += static_cast<float>(static_cast<int>((lane >> 4) & 0xF) - z) * xl[1];
-                p[2] += static_cast<float>(static_cast<int>((lane >> 8) & 0xF) - z) * xl[2];
-                p[3] += static_cast<float>(static_cast<int>((lane >> 12) & 0xF) - z) * xl[3];
-                p[4] += static_cast<float>(static_cast<int>((lane >> 16) & 0xF) - z) * xl[4];
-                p[5] += static_cast<float>(static_cast<int>((lane >> 20) & 0xF) - z) * xl[5];
-                p[6] += static_cast<float>(static_cast<int>((lane >> 24) & 0xF) - z) * xl[6];
-                p[7] += static_cast<float>(static_cast<int>((lane >> 28) & 0xF) - z) * xl[7];
-                p[0] += static_cast<float>(static_cast<int>((lane >> 32) & 0xF) - z) * xl[8];
-                p[1] += static_cast<float>(static_cast<int>((lane >> 36) & 0xF) - z) * xl[9];
-                p[2] += static_cast<float>(static_cast<int>((lane >> 40) & 0xF) - z) * xl[10];
-                p[3] += static_cast<float>(static_cast<int>((lane >> 44) & 0xF) - z) * xl[11];
-                p[4] += static_cast<float>(static_cast<int>((lane >> 48) & 0xF) - z) * xl[12];
-                p[5] += static_cast<float>(static_cast<int>((lane >> 52) & 0xF) - z) * xl[13];
-                p[6] += static_cast<float>(static_cast<int>((lane >> 56) & 0xF) - z) * xl[14];
-                p[7] += static_cast<float>(static_cast<int>((lane >> 60) & 0xF) - z) * xl[15];
-            }
-            acc += s * lane_tree_sum(p);
-#endif
-        }
-        y[r] = acc;
-    }
 }
 
 void QuantizedLinear::gemv_packed(std::span<const Word512> packed,
@@ -388,78 +398,7 @@ void QuantizedLinear::gemv_packed(std::span<const Word512> packed,
     check(y.size() == rows_, "gemv_packed: output size mismatch");
     check(packed.size() == div_ceil(rows_ * cols_, kNibblesPerWord),
           "gemv_packed: packed stream size mismatch");
-    if (pool != nullptr && pool->size() > 1 && rows_ > 1) {
-        pool->parallel_for(rows_, [&](std::size_t b, std::size_t e) {
-            gemv_packed_rows(packed.data(), x.data(), y.data(), b, e);
-        });
-    } else {
-        gemv_packed_rows(packed.data(), x.data(), y.data(), 0, rows_);
-    }
-}
-
-void QuantizedLinear::gemm_packed_rows(const Word512* words, const float* x,
-                                       std::size_t batch, float* y,
-                                       std::size_t row_begin, std::size_t row_end) const {
-    const std::size_t gs = cfg_.group_size;
-    const std::size_t gpr = groups_per_row();
-    for (std::size_t bt = 0; bt < batch; bt += kGemmBatchTile) {
-        const std::size_t nb = std::min(kGemmBatchTile, batch - bt);
-        for (std::size_t r = row_begin; r < row_end; ++r) {
-            std::size_t nib = r * cols_;
-            const Fp16* srow = scales_.data() + r * gpr;
-            const std::uint8_t* zrow = zeros_.data() + r * gpr;
-            float acc[kGemmBatchTile] = {};
-            for (std::size_t g = 0; g < gpr; ++g) {
-                const float s = srow[g].to_float();
-                const int z = zrow[g];
-                const std::size_t xoff = g * gs;
-#if EFLD_GEMV_VECTOR
-                GemvVf p[kGemmBatchTile] = {};
-                const GemvVi zv = {z, z, z, z, z, z, z, z};
-                for (std::size_t i = 0; i < gs; i += 16, nib += 16) {
-                    const std::uint64_t lane = words[nib >> 7].lanes[(nib >> 4) & 7];
-                    const GemvVi c0 = {
-                        static_cast<int>((lane >> 0) & 0xF),  static_cast<int>((lane >> 4) & 0xF),
-                        static_cast<int>((lane >> 8) & 0xF),  static_cast<int>((lane >> 12) & 0xF),
-                        static_cast<int>((lane >> 16) & 0xF), static_cast<int>((lane >> 20) & 0xF),
-                        static_cast<int>((lane >> 24) & 0xF), static_cast<int>((lane >> 28) & 0xF)};
-                    const GemvVi c1 = {
-                        static_cast<int>((lane >> 32) & 0xF), static_cast<int>((lane >> 36) & 0xF),
-                        static_cast<int>((lane >> 40) & 0xF), static_cast<int>((lane >> 44) & 0xF),
-                        static_cast<int>((lane >> 48) & 0xF), static_cast<int>((lane >> 52) & 0xF),
-                        static_cast<int>((lane >> 56) & 0xF), static_cast<int>((lane >> 60) & 0xF)};
-                    const GemvVf d0 = __builtin_convertvector(c0 - zv, GemvVf);
-                    const GemvVf d1 = __builtin_convertvector(c1 - zv, GemvVf);
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        const float* xl = x + (bt + b) * cols_ + xoff + i;
-                        GemvVf x0, x1;
-                        std::memcpy(&x0, xl, sizeof x0);
-                        std::memcpy(&x1, xl + kGemvLanes, sizeof x1);
-                        p[b] += d0 * x0;
-                        p[b] += d1 * x1;
-                    }
-                }
-                for (std::size_t b = 0; b < nb; ++b) acc[b] += s * lane_tree_sum(p[b]);
-#else
-                float p[kGemmBatchTile][kGemvLanes] = {};
-                for (std::size_t i = 0; i < gs; i += 16, nib += 16) {
-                    const std::uint64_t lane = words[nib >> 7].lanes[(nib >> 4) & 7];
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        const float* xl = x + (bt + b) * cols_ + xoff + i;
-                        for (std::size_t e = 0; e < 16; ++e) {
-                            p[b][e % kGemvLanes] +=
-                                static_cast<float>(
-                                    static_cast<int>((lane >> (4 * e)) & 0xF) - z) *
-                                xl[e];
-                        }
-                    }
-                }
-                for (std::size_t b = 0; b < nb; ++b) acc[b] += s * lane_tree_sum(p[b]);
-#endif
-            }
-            for (std::size_t b = 0; b < nb; ++b) y[(bt + b) * rows_ + r] = acc[b];
-        }
-    }
+    run_gemm<true>(gemm_args(*this, packed.data(), x.data(), 1, y.data()), pool);
 }
 
 void QuantizedLinear::gemm_packed(std::span<const Word512> packed,
@@ -472,13 +411,7 @@ void QuantizedLinear::gemm_packed(std::span<const Word512> packed,
     check(y.size() == batch * rows_, "gemm_packed: output size mismatch");
     check(packed.size() == div_ceil(rows_ * cols_, kNibblesPerWord),
           "gemm_packed: packed stream size mismatch");
-    if (pool != nullptr && pool->size() > 1 && rows_ > 1) {
-        pool->parallel_for(rows_, [&](std::size_t b, std::size_t e) {
-            gemm_packed_rows(packed.data(), x.data(), batch, y.data(), b, e);
-        });
-    } else {
-        gemm_packed_rows(packed.data(), x.data(), batch, y.data(), 0, rows_);
-    }
+    run_gemm<true>(gemm_args(*this, packed.data(), x.data(), batch, y.data()), pool);
 }
 
 std::uint64_t QuantizedLinear::packed_bytes() const noexcept {

@@ -59,7 +59,8 @@ inline constexpr std::size_t kGemvLanes = 8;
 // per-row GEMV recipe above, so the result is bit-for-bit identical to
 // `batch` independent gemv calls; columns are processed in register tiles of
 // kGemmBatchTile, which bounds how many activation vectors one code decode
-// feeds before the walk restarts.
+// feeds before the walk restarts. Every tile width 1..kGemmBatchTile is its
+// own compiled kernel, and gemv is the width-1 tile.
 inline constexpr std::size_t kGemmBatchTile = 8;
 
 // A quantized linear layer y = W x, W of shape [rows, cols] (out, in).
@@ -88,7 +89,9 @@ public:
 
     // Fused fast path: dequantize×dot directly over the stored codes, no
     // scratch vectors, no allocation. Rows are partitioned across `pool`
-    // when one is given (results are identical for any pool size).
+    // when one is given, one chunk per kMinChunkBytes of weight codes at
+    // most, so a small layer runs inline (results are identical for any pool
+    // size).
     void gemv(std::span<const float> x, std::span<float> y,
               ThreadPool* pool = nullptr) const;
 
@@ -112,9 +115,11 @@ public:
     // Skinny GEMM: Y = W X for a block of `batch` activation vectors.
     // X is [batch][cols] row-major (each session's activation contiguous),
     // Y is [batch][rows] row-major. Bit-for-bit identical to `batch`
-    // independent gemv calls — batch == 1 degenerates to gemv exactly — but
-    // the weight stream is decoded once per kGemmBatchTile columns instead of
-    // once per column. Rows are partitioned across `pool` when one is given.
+    // independent gemv calls, but the weight stream is decoded once per
+    // kGemmBatchTile columns instead of once per column. The batch runs as
+    // full tiles then one remainder tile, each through the kernel compiled
+    // for that width; batch == 1 is the width-1 kernel gemv itself runs, at
+    // gemv's cost. Rows are partitioned across `pool` when one is given.
     void gemm(std::span<const float> x, std::size_t batch, std::span<float> y,
               ThreadPool* pool = nullptr) const;
 
@@ -153,15 +158,6 @@ public:
                                                     const GroupQuantConfig& cfg);
 
 private:
-    void gemv_rows(const float* x, float* y, std::size_t row_begin,
-                   std::size_t row_end) const;
-    void gemv_packed_rows(const Word512* words, const float* x, float* y,
-                          std::size_t row_begin, std::size_t row_end) const;
-    void gemm_rows(const float* x, std::size_t batch, float* y,
-                   std::size_t row_begin, std::size_t row_end) const;
-    void gemm_packed_rows(const Word512* words, const float* x, std::size_t batch,
-                          float* y, std::size_t row_begin, std::size_t row_end) const;
-
     GroupQuantConfig cfg_;
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;

@@ -450,6 +450,15 @@ void ServeEngine::retire(SessionState& s, Retire why) {
     }
     trace(s.id, obs::TraceEvent::kRetired,
           static_cast<std::uint64_t>(finish_reason_of(why)));
+    // Count the retirement BEFORE resolving the promise, as resolve_lost()
+    // does: a waiter unblocked by get() must already see it in
+    // stats_snapshot() and the exported serve_requests_completed.
+    {
+        const std::lock_guard<std::mutex> g(stats_mu_);
+        ++stats_.requests_completed;
+        if (why == Retire::kCancelled) ++stats_.requests_cancelled;
+        if (why == Retire::kDeadline) ++stats_.requests_expired;
+    }
     s.promise.set_value(std::move(r));
     const std::size_t slot = s.slot;
     try {
@@ -470,10 +479,6 @@ void ServeEngine::retire(SessionState& s, Retire why) {
                                      std::memory_order_release);
     }
     n_active_.fetch_sub(1, std::memory_order_release);
-    const std::lock_guard<std::mutex> g(stats_mu_);
-    ++stats_.requests_completed;
-    if (why == Retire::kCancelled) ++stats_.requests_cancelled;
-    if (why == Retire::kDeadline) ++stats_.requests_expired;
 }
 
 bool ServeEngine::step() {

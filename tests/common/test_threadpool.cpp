@@ -62,6 +62,29 @@ TEST(ThreadPool, DisjointChunksPartitionTheRange) {
     EXPECT_EQ(expect_begin, 97u);
 }
 
+TEST(ThreadPool, MaxChunksCapsTheSplit) {
+    ThreadPool pool(4);
+    std::mutex m;
+    for (const std::size_t max_chunks : {0u, 1u, 2u, 3u}) {
+        std::vector<std::pair<std::size_t, std::size_t>> chunks;
+        pool.parallel_for(
+            97,
+            [&](std::size_t b, std::size_t e) {
+                std::lock_guard<std::mutex> lk(m);
+                chunks.emplace_back(b, e);
+            },
+            max_chunks);
+        std::sort(chunks.begin(), chunks.end());
+        EXPECT_EQ(chunks.size(), std::max<std::size_t>(1, max_chunks));
+        std::size_t expect_begin = 0;
+        for (const auto& [b, e] : chunks) {
+            EXPECT_EQ(b, expect_begin);
+            expect_begin = e;
+        }
+        EXPECT_EQ(expect_begin, 97u) << "max_chunks " << max_chunks;
+    }
+}
+
 TEST(ThreadPool, ResultsIndependentOfPoolSize) {
     // The determinism contract: disjoint writes give identical results for
     // any pool size.

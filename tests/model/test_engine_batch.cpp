@@ -1,12 +1,13 @@
 // Batched multi-session decode parity: decode_batch of N sessions must be
 // bit-for-bit identical to N independent single-session decode runs, for
 // every batch size, thread count, and weight storage (8-bit codes and the
-// packed-4bit bus stream).
+// packed-4bit bus stream), including attention split across a worker pool.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/threadpool.hpp"
 #include "model/reference_engine.hpp"
 
 namespace efld::model {
@@ -100,6 +101,17 @@ TEST(EngineBatch, MatchesIndependentDecodesPacked4BitWeights) {
                 batch, 3);
         }
     }
+}
+
+TEST(EngineBatch, LongContextThreadedAttentionMatchesSolo) {
+    // Eight float-KV lanes deep into the context stream enough K/V history
+    // per step that attention really splits across the pool (the split is
+    // sized by kMinChunkBytes; solo lanes never reach it).
+    const std::size_t batch = 8, steps = 48;
+    const std::size_t last_step_kv_bytes = batch * gqa_cfg().n_kv_heads * steps *
+                                           gqa_cfg().head_dim() * 2 * sizeof(float);
+    ASSERT_GE(last_step_kv_bytes / kMinChunkBytes, 3u);
+    expect_batch_matches_solo(weights_w8(), EngineOptions{.threads = 3}, batch, steps);
 }
 
 TEST(EngineBatch, PackedWalkIdenticalToByteCodeWalk) {

@@ -122,6 +122,35 @@ TEST(GemmFused, PackedBatch1IsIdenticalToGemvPacked) {
     EXPECT_EQ(via_gemm, via_gemv);
 }
 
+TEST(GemmFused, EveryTileWidthMatchesReferenceBitForBit) {
+    // Batches 1..17 reach every compiled tile width 1..kGemmBatchTile, alone
+    // and as the remainder after one or two full tiles. The layer is big
+    // enough that pools of 2 and 3 really split it: even the packed stream
+    // spans three kMinChunkBytes chunks, and the odd row count leaves uneven
+    // chunk edges.
+    static_assert(kGemmBatchTile == 8, "sweep covers two full tiles plus a remainder");
+    const std::size_t cols = 512;
+    const std::size_t rows = 3 * 2 * kMinChunkBytes / cols + 5;
+    const QuantizedLinear q = make_layer(rows, cols, 4, 64, 91);
+    const auto packed = q.pack_codes();
+    ThreadPool pool2(2), pool3(3);
+    for (std::size_t batch = 1; batch <= 2 * kGemmBatchTile + 1; ++batch) {
+        const auto x = random_floats(batch * cols, 92 + batch, 1.0);
+        std::vector<float> want(batch * rows);
+        q.gemm_reference(x, batch, want);
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool3}) {
+            const std::size_t threads = pool == nullptr ? 1 : pool->size();
+            std::vector<float> got(batch * rows, -1.0f);
+            q.gemm(x, batch, got, pool);
+            EXPECT_EQ(got, want) << "bytes, batch " << batch << ", " << threads << " threads";
+            std::vector<float> got_packed(batch * rows, -1.0f);
+            q.gemm_packed(packed, x, batch, got_packed, pool);
+            EXPECT_EQ(got_packed, want)
+                << "packed, batch " << batch << ", " << threads << " threads";
+        }
+    }
+}
+
 TEST(GemmFused, RejectsBadShapes) {
     const QuantizedLinear q = make_layer(4, 128, 4, 64, 41);
     std::vector<float> x(2 * 128), y(2 * 4);
