@@ -52,9 +52,12 @@ int main() {
         {"FP16-ish weights + float KV (golden)", model::ReferenceEngine(fw)},
         {"W8A16 + float KV", model::ReferenceEngine(w8)},
         {"W4A16 + float KV", model::ReferenceEngine(w4)},
-        {"W4A16 + KV8  (deployed)", model::ReferenceEngine(w4, true, 8)},
-        {"W4A16 + KV4  (rejected by the paper)", model::ReferenceEngine(w4, true, 4)},
-        {"W4A16 + KV2  (for scale)", model::ReferenceEngine(w4, true, 2)},
+        {"W4A16 + KV8  (deployed)",
+         model::ReferenceEngine(w4, {.use_kv8 = true, .kv_bits = 8})},
+        {"W4A16 + KV4  (rejected by the paper)",
+         model::ReferenceEngine(w4, {.use_kv8 = true, .kv_bits = 4})},
+        {"W4A16 + KV2  (for scale)",
+         model::ReferenceEngine(w4, {.use_kv8 = true, .kv_bits = 2})},
     };
 
     std::printf("  %-40s %18s\n", "configuration", "cosine(logits)");

@@ -9,30 +9,34 @@
 
 namespace efld::accel {
 
+namespace {
+const AcceleratorOptions& validated(const AcceleratorOptions& opts) {
+    if (opts.max_batch == 0) {
+        throw std::invalid_argument("AcceleratorOptions: max_batch must be >= 1");
+    }
+    return opts;
+}
+}  // namespace
+
 Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
     : model_(&m),
-      opts_(opts),
+      opts_(validated(opts)),
       timing_(m.config, model::QuantScheme::w4a16_kv8(), opts.accel, opts.mem),
       rope_(m.config.rope_theta),
       softmax_(exp_),
-      silu_(exp_) {
-    if (opts_.max_batch == 0) {
-        throw std::invalid_argument("AcceleratorOptions: max_batch must be >= 1");
-    }
-    if (opts_.prefix_sharing && opts_.accel.kv_page_tokens == 0) {
-        throw std::invalid_argument(
-            "AcceleratorOptions: prefix_sharing requires accel.kv_page_tokens > 0");
-    }
+      silu_(exp_),
+      kv_(m.config, kvpool::slot_pool_config(m.config, opts.max_batch,
+                                             opts.accel.kv_page_tokens,
+                                             opts.kv_pool_pages)),
+      prefix_(kv_.pool()) {
     const std::size_t mb = opts_.max_batch;
     sz_fifo_.reserve(mb);
     for (std::size_t s = 0; s < mb; ++s) {
         sz_fifo_.emplace_back(m.config.n_layers, m.config.n_kv_heads);
+        (void)kv_.create_sequence();
     }
     pos_.assign(mb, 0);
     slots_ = engine::SlotLedger(mb);
-    k_cache_.resize(mb * m.config.n_layers * m.config.max_seq_len *
-                    m.config.n_kv_heads);
-    v_cache_.resize(k_cache_.size());
     ctx_scratch_.reserve(mb);
 }
 
@@ -41,12 +45,7 @@ void Accelerator::reset_session(std::size_t slot) {
     pos_[slot] = 0;
     sz_fifo_[slot] =
         quant::ScaleZeroFifo(model_->config.n_layers, model_->config.n_kv_heads);
-    const std::size_t per_session =
-        model_->config.n_layers * model_->config.max_seq_len * model_->config.n_kv_heads;
-    for (std::size_t i = slot * per_session; i < (slot + 1) * per_session; ++i) {
-        k_cache_[i] = KvEntry{};
-        v_cache_[i] = KvEntry{};
-    }
+    kv_.reset_sequence(slot);
 }
 
 void Accelerator::reset() {
@@ -65,125 +64,44 @@ void Accelerator::release_slot(std::size_t slot) {
     reset_session(slot);
 }
 
-std::size_t Accelerator::kv_slot(std::size_t session, std::size_t layer,
-                                 std::size_t token, std::size_t kv_head) const noexcept {
-    return ((session * model_->config.n_layers + layer) * model_->config.max_seq_len +
-            token) *
-               model_->config.n_kv_heads +
-           kv_head;
-}
-
-std::size_t Accelerator::page_entry_idx(std::size_t layer, std::size_t t,
-                                        std::size_t kv_head) const noexcept {
-    return (layer * opts_.accel.kv_page_tokens + t) * model_->config.n_kv_heads +
-           kv_head;
-}
-
-std::size_t Accelerator::matched_pages(
-    const std::vector<std::uint64_t>& hashes) const {
-    std::size_t n = 0;
-    while (n < hashes.size() &&
-           prefix_store_.find(hashes[n]) != prefix_store_.end()) {
-        ++n;
-    }
-    return n;
-}
-
 std::size_t Accelerator::probe_prefix(std::span<const std::int32_t> prompt,
                                       std::size_t max_cover) const {
-    if (!opts_.prefix_sharing) return 0;
-    const std::size_t pt = opts_.accel.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    // Full pages only: the scale-zero FIFO replay leaves a prefilled state
-    // only at a flush boundary.
-    std::size_t covered = std::min(matched_pages(hashes) * pt, max_cover);
-    return covered - covered % pt;
+    return prefix_.probe(prompt, full_pages(max_cover));
 }
 
 std::size_t Accelerator::adopt_prefix(std::size_t slot,
                                       std::span<const std::int32_t> prompt,
                                       std::size_t max_cover) {
-    if (!opts_.prefix_sharing) return 0;
     const model::ModelConfig& cfg = model_->config;
     check(slot < opts_.max_batch, "adopt_prefix: slot out of range");
-    check(pos_[slot] == 0, "adopt_prefix: slot already holds history");
-    const std::size_t pt = opts_.accel.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    std::size_t covered = std::min(matched_pages(hashes) * pt, max_cover);
-    covered -= covered % pt;
-    if (covered == 0) return 0;
-    check(covered <= cfg.max_seq_len, "adopt_prefix: prefix exceeds context window");
-    // Deep-copy the stored entries into the slot's caches and replay their
-    // scale-zero packs through the slot's fresh FIFO in prefill order, so the
-    // slot state is bit-for-bit what re-prefilling the covered span produces.
+    const std::size_t covered = prefix_.adopt(slot, prompt, full_pages(max_cover));
+    // Replay the adopted entries' scale-zero packs through the slot's fresh
+    // FIFO in prefill order, so its state is bit-for-bit what re-prefilling
+    // the covered span produces.
     for (std::size_t tok = 0; tok < covered; ++tok) {
-        const StoredPage& page = prefix_store_.at(hashes[tok / pt]);
         for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
             for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-                const std::size_t e = page_entry_idx(layer, tok % pt, h);
-                k_cache_[kv_slot(slot, layer, tok, h)] = page.k[e];
-                v_cache_[kv_slot(slot, layer, tok, h)] = page.v[e];
-                (void)sz_fifo_[slot].append(layer, h, false, tok, page.k[e].params);
-                (void)sz_fifo_[slot].append(layer, h, true, tok, page.v[e].params);
+                (void)sz_fifo_[slot].append(layer, h, false, tok,
+                                            kv_.key(slot, layer, h, tok).params);
+                (void)sz_fifo_[slot].append(layer, h, true, tok,
+                                            kv_.value(slot, layer, h, tok).params);
             }
         }
     }
     pos_[slot] = covered;
-    prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-    prefix_covered_.fetch_add(covered, std::memory_order_relaxed);
     return covered;
 }
 
 std::size_t Accelerator::register_prefix(std::size_t slot,
                                          std::span<const std::int32_t> prompt,
                                          std::size_t max_new_pages) {
-    if (!opts_.prefix_sharing || max_new_pages == 0) return 0;
-    const model::ModelConfig& cfg = model_->config;
     check(slot < opts_.max_batch, "register_prefix: slot out of range");
-    const std::size_t pt = opts_.accel.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    if (pos_[slot] < hashes.size() * pt) return 0;  // prefill incomplete
-    const std::size_t epp = cfg.n_layers * pt * cfg.n_kv_heads;
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    std::size_t added = 0;
-    for (std::size_t p = 0; p < hashes.size() && added < max_new_pages; ++p) {
-        if (prefix_store_.find(hashes[p]) != prefix_store_.end()) continue;
-        StoredPage page;
-        page.k.resize(epp);
-        page.v.resize(epp);
-        for (std::size_t t = 0; t < pt; ++t) {
-            const std::size_t tok = p * pt + t;
-            for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
-                for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-                    const std::size_t e = page_entry_idx(layer, t, h);
-                    page.k[e] = k_cache_[kv_slot(slot, layer, tok, h)];
-                    page.v[e] = v_cache_[kv_slot(slot, layer, tok, h)];
-                }
-            }
-        }
-        prefix_store_.emplace(hashes[p], std::move(page));
-        ++added;
-    }
-    return added;
+    return prefix_.pin(slot, prompt, max_new_pages);
 }
 
-std::size_t Accelerator::drop_prefix_cache() {
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    const std::size_t n = prefix_store_.size();
-    prefix_store_.clear();
-    return n;
-}
+std::size_t Accelerator::drop_prefix_cache() { return prefix_.drop(); }
 
-engine::PrefixSharingStats Accelerator::prefix_stats() const {
-    engine::PrefixSharingStats s;
-    s.hits = prefix_hits_.load(std::memory_order_relaxed);
-    s.covered_tokens = prefix_covered_.load(std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    s.pages_shared = prefix_store_.size();
-    return s;
-}
+engine::PrefixSharingStats Accelerator::prefix_stats() const { return prefix_.stats(); }
 
 void Accelerator::attention(std::size_t layer, std::size_t slot, std::vector<Fp16>& x) {
     const obs::ScopedPhase phase(profiler_, obs::Phase::kAttention);
@@ -212,17 +130,20 @@ void Accelerator::attention(std::size_t layer, std::size_t slot, std::vector<Fp1
     }
 
     // Online KV8 quantization; packs go through the Fig. 4B FIFO, codes
-    // through the serial-to-parallel unit (to DDR on the real device).
+    // through the serial-to-parallel unit (to DDR on the real device) and
+    // into the slot's pool pages.
+    std::vector<quant::KvQuantized> qk(cfg.n_kv_heads), qv(cfg.n_kv_heads);
     for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-        SpuQuant::Result qk = kv_quant_.run(std::span<const Fp16>(k).subspan(h * hd, hd));
-        SpuQuant::Result qv = kv_quant_.run(std::span<const Fp16>(v).subspan(h * hd, hd));
-        for (const std::uint8_t c : qk.codes) (void)s2p_.push_byte(c);
-        for (const std::uint8_t c : qv.codes) (void)s2p_.push_byte(c);
-        (void)sz_fifo_[slot].append(layer, h, false, pos, qk.params);
-        (void)sz_fifo_[slot].append(layer, h, true, pos, qv.params);
-        k_cache_[kv_slot(slot, layer, pos, h)] = {std::move(qk.codes), qk.params};
-        v_cache_[kv_slot(slot, layer, pos, h)] = {std::move(qv.codes), qv.params};
+        SpuQuant::Result rk = kv_quant_.run(std::span<const Fp16>(k).subspan(h * hd, hd));
+        SpuQuant::Result rv = kv_quant_.run(std::span<const Fp16>(v).subspan(h * hd, hd));
+        for (const std::uint8_t c : rk.codes) (void)s2p_.push_byte(c);
+        for (const std::uint8_t c : rv.codes) (void)s2p_.push_byte(c);
+        (void)sz_fifo_[slot].append(layer, h, false, pos, rk.params);
+        (void)sz_fifo_[slot].append(layer, h, true, pos, rv.params);
+        qk[h] = {std::move(rk.codes), rk.params};
+        qv[h] = {std::move(rv.codes), rv.params};
     }
+    kv_.append_quantized(slot, layer, qk, qv);
 
     // Head-wise attention: history from the quantized cache, the current
     // token's K/V used pre-quantization (they are still on chip — §V.A).
@@ -234,7 +155,7 @@ void Accelerator::attention(std::size_t layer, std::size_t slot, std::vector<Fp1
         const std::span<const Fp16> qh(q.data() + h * hd, hd);
 
         for (std::size_t t = 0; t < pos; ++t) {
-            const KvEntry& e = k_cache_[kv_slot(slot, layer, t, kvh)];
+            const quant::KvQuantized& e = kv_.key(slot, layer, kvh, t);
             const std::vector<Fp16> kt = DequantUnit::run_kv(e.codes, e.params);
             scores[t] = DotEngine::dot(qh, kt) * inv_sqrt_d;
         }
@@ -250,7 +171,7 @@ void Accelerator::attention(std::size_t layer, std::size_t slot, std::vector<Fp1
         std::span<Fp16> out(att_out.data() + h * hd, hd);
         for (auto& o : out) o = Fp16::zero();
         for (std::size_t t = 0; t < pos; ++t) {
-            const KvEntry& e = v_cache_[kv_slot(slot, layer, t, kvh)];
+            const quant::KvQuantized& e = kv_.value(slot, layer, kvh, t);
             const std::vector<Fp16> vt = DequantUnit::run_kv(e.codes, e.params);
             for (std::size_t i = 0; i < hd; ++i) out[i] = out[i] + probs[t] * vt[i];
         }

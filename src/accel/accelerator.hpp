@@ -10,27 +10,28 @@
 // decode-speed numbers.
 //
 // The accelerator is also a DecodeBackend: with max_batch > 1 it owns that
-// many independent KV session slots (per-slot cache, position, and scale-zero
-// FIFO) and decode_batch advances any subset of them in one simulated step.
+// many independent KV session slots (per-slot history, position, and
+// scale-zero FIFO) and decode_batch advances any subset of them in one
+// simulated step.
 // The functional math stays per-session (each lane is bit-identical to a solo
 // run), but the step is PRICED as the device would execute it — weights
 // streamed once for the whole batch, KV streams and SPU work per session
 // (DecodeCycleModel::batch_timing) — so the serving layer can report
 // simulated KV260 serving throughput, not just single-stream decode.
 //
-// Paged KV (AccelConfig::kv_page_tokens > 0): a session's KV history is
-// priced as one DDR burst per block-table page (each with its own descriptor
-// overhead) instead of one contiguous burst, matching the kvpool layout the
-// serving layer budgets with. Functional results are unchanged — paging is a
-// capacity/layout property; the twin's in-memory KV arrays are simulation
-// scaffolding, not modeled DDR.
+// KV storage is the same kvpool arena the host engine uses: the SPU's KV8
+// codes and scale-zero params live in PagedQuantizedKvArena pages drawn from
+// a KvBlockPool (slot s = sequence s), so the pool budget is enforced — an
+// append the pool cannot grant throws — and prefix sharing maps pool pages
+// through the host's prefix::PrefixCache (refcounted, no copies).
+// AccelConfig::kv_page_tokens sets both the page size (0 = one max_seq_len
+// page per slot) and the pricing: > 0 prices a session's history as one DDR
+// burst per block-table page (each with its own descriptor overhead) instead
+// of one contiguous burst. Functional results never depend on it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/cycle_model.hpp"
@@ -44,8 +45,9 @@
 #include "accel/spu_softmax.hpp"
 #include "accel/vpu.hpp"
 #include "engine/decode_backend.hpp"
+#include "kvpool/paged_kv_cache.hpp"
 #include "model/sampler.hpp"
-#include "prefix/prefix_index.hpp"
+#include "prefix/prefix_cache.hpp"
 #include "quant/scale_zero_pack.hpp"
 
 namespace efld::accel {
@@ -54,18 +56,15 @@ struct AcceleratorOptions {
     AccelConfig accel{};
     memsim::MemorySystemConfig mem = memsim::MemorySystemConfig::kv260();
     bool collect_timing = true;  // disable to run functional-only (faster)
-    // Concurrent KV session slots (DecodeBackend). Each slot reserves its own
-    // KV cache region, position, and scale-zero FIFO.
+    // Concurrent KV session slots (DecodeBackend), each with its own
+    // position, scale-zero FIFO, and sequence in the KV pool.
     std::size_t max_batch = 1;
-    // Prefix sharing (requires accel.kv_page_tokens > 0): keep a store of
-    // computed KV pages keyed by chained prompt-page hashes, so sessions whose
-    // prompts start with an already-served prefix skip that prefill. The twin
-    // has no shared physical pool — its in-memory caches are per-session
-    // simulation scaffolding — so adoption deep-copies the stored entries
-    // (bit-identical to re-prefilling) and there is no copy-on-write; the DDR
-    // capacity effect is modeled by the serving layer's governor, the latency
-    // effect by DecodeCycleModel::prefill_timing_shared. Off by default.
-    bool prefix_sharing = false;
+    // KV pool size in accel.kv_page_tokens-token pages; 0 = worst case
+    // (max_batch full-context sessions). The serving layer sets it, like the
+    // host's EngineOptions::kv_pool_pages, to the pages its governor admits
+    // against — sessions and pinned prefix pages together — so every page
+    // the governor hands out exists in the pool.
+    std::size_t kv_pool_pages = 0;
 };
 
 struct StepResult {
@@ -103,6 +102,9 @@ public:
         return sz_fifo_[0];
     }
     [[nodiscard]] DecodeCycleModel& cycle_model() noexcept { return timing_; }
+    [[nodiscard]] const kvpool::PagedQuantizedKvArena& kv_arena() const noexcept {
+        return kv_;
+    }
 
     // --- engine::DecodeBackend ---
     [[nodiscard]] const model::ModelConfig& config() const noexcept override {
@@ -124,10 +126,12 @@ public:
     }
     void set_profiler(obs::Profiler* profiler) override { profiler_ = profiler; }
 
-    // Prefix sharing (active when opts_.prefix_sharing): the contract is in
-    // decode_backend.hpp. Full-page adoption only — the scale-zero FIFO is
-    // replayed from the stored packs, so covered spans must end on a page
-    // boundary to leave it exactly as a real prefill would.
+    // Prefix sharing: the contract is in decode_backend.hpp; each forwards to
+    // the prefix::PrefixCache the host uses. The twin adopts full pages only —
+    // the scale-zero FIFO is replayed from the adopted pages' packs, so
+    // covered spans must end on a page boundary to leave it exactly as a real
+    // prefill would. Nothing is indexed until the serving layer registers a
+    // prefix, so a twin without sharing probes 0.
     [[nodiscard]] std::size_t probe_prefix(std::span<const std::int32_t> prompt,
                                            std::size_t max_cover) const override;
     std::size_t adopt_prefix(std::size_t slot, std::span<const std::int32_t> prompt,
@@ -139,29 +143,10 @@ public:
     [[nodiscard]] engine::PrefixSharingStats prefix_stats() const override;
 
 private:
-    struct KvEntry {
-        std::vector<std::uint8_t> codes;
-        quant::KvQuantParams params;
-    };
-
-    // One stored prefix page: deep copies of the KV entries for a full
-    // kv_page_tokens span, keyed in prefix_store_ by the span's chain hash.
-    // Entry (layer, t, head) lives at (layer * page_tokens + t) * n_kv_heads
-    // + head.
-    struct StoredPage {
-        std::vector<KvEntry> k;
-        std::vector<KvEntry> v;
-    };
-
-    [[nodiscard]] std::size_t kv_slot(std::size_t session, std::size_t layer,
-                                      std::size_t token,
-                                      std::size_t kv_head) const noexcept;
-    [[nodiscard]] std::size_t page_entry_idx(std::size_t layer, std::size_t t,
-                                             std::size_t kv_head) const noexcept;
-    // Pages of `hashes` present front-to-back in prefix_store_ (first miss
-    // stops the walk). Caller holds prefix_mu_.
-    [[nodiscard]] std::size_t matched_pages(
-        const std::vector<std::uint64_t>& hashes) const;
+    // `max_cover` rounded down to whole pages.
+    [[nodiscard]] std::size_t full_pages(std::size_t max_cover) const noexcept {
+        return max_cover - max_cover % kv_.pool().page_tokens();
+    }
     void reset_session(std::size_t slot);
 
     // One functional forward pass of `token` through session `slot`, writing
@@ -186,18 +171,11 @@ private:
 
     std::vector<std::size_t> pos_;           // per session slot
     engine::SlotLedger slots_;               // DecodeBackend reservations
-    std::vector<KvEntry> k_cache_;           // [session][layer][token][kv_head]
-    std::vector<KvEntry> v_cache_;
+    kvpool::PagedQuantizedKvArena kv_;       // every slot's KV8 history
+    prefix::PrefixCache prefix_;             // over kv_'s pool
     std::vector<std::size_t> ctx_scratch_;   // batch pricing, no per-step alloc
     engine::StepCost last_cost_{};
     obs::Profiler* profiler_ = nullptr;      // serving-layer owned; may be null
-
-    // Prefix store + its lock (probe reads cross-thread while the driver
-    // adopts/registers); hit counters are relaxed atomics like the host's.
-    mutable std::mutex prefix_mu_;
-    std::unordered_map<std::uint64_t, StoredPage> prefix_store_;
-    std::atomic<std::size_t> prefix_hits_{0};
-    std::atomic<std::size_t> prefix_covered_{0};
 };
 
 }  // namespace efld::accel

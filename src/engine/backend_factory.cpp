@@ -32,11 +32,12 @@ BackendBundle make_backend(BackendKind kind, const model::QuantizedModelWeights&
     } else {
         b.packed =
             std::make_unique<accel::PackedModel>(accel::PackedModel::build(weights));
+        // The twin keeps its KV8 in a kvpool arena sized like the host's (the
+        // cycle model prices the same page layout as per-page bursts), so one
+        // governor budget bounds either backend.
         accel_opts.max_batch = host_opts.max_batch;
-        // The accel twin prices paged KV in the cycle model (per-page bursts);
-        // its functional KV storage is host-side scaffolding either way.
+        accel_opts.kv_pool_pages = host_opts.kv_pool_pages;
         accel_opts.accel.kv_page_tokens = host_opts.kv_page_tokens;
-        accel_opts.prefix_sharing = host_opts.prefix_sharing;
         b.backend = std::make_unique<accel::Accelerator>(*b.packed, accel_opts);
     }
     if (!plan.empty()) {

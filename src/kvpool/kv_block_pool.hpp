@@ -13,8 +13,8 @@
 //
 // The pool is pure bookkeeping: free-list plus block tables mapping each
 // sequence's logical token index to a physical page. Physical storage (the
-// host engine's paged arenas, the device's DDR KV regions) indexes through
-// it. Page sizing defaults to 16 tokens — the Fig. 4B scale-zero FIFO flush
+// paged arenas both decode backends keep KV in, the device's DDR KV regions)
+// indexes through it. Page sizing defaults to 16 tokens — the Fig. 4B scale-zero FIFO flush
 // granularity — so a page boundary never splits a pack word.
 #pragma once
 

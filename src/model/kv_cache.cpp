@@ -139,9 +139,4 @@ quant::KvQuantParams QuantizedKvCache::key_params(std::size_t layer, std::size_t
     return k_[slot(layer, token, kv_head)].params;
 }
 
-quant::KvQuantParams QuantizedKvCache::value_params(std::size_t layer, std::size_t token,
-                                                    std::size_t kv_head) const {
-    return v_[slot(layer, token, kv_head)].params;
-}
-
 }  // namespace efld::model

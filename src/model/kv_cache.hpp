@@ -1,4 +1,7 @@
-// Key/value caches: float (reference) and KV8-quantized (deployed form).
+// Contiguous key/value caches: float (reference) and KV8-quantized (deployed
+// form), one max_seq_len reservation per cache. The engines keep KV in the
+// kvpool arenas (kvpool/paged_kv_cache.hpp); these stay as the plain oracles
+// the arena parity tests compare against.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +78,6 @@ public:
 
     [[nodiscard]] quant::KvQuantParams key_params(std::size_t layer, std::size_t token,
                                                   std::size_t kv_head) const;
-    [[nodiscard]] quant::KvQuantParams value_params(std::size_t layer, std::size_t token,
-                                                    std::size_t kv_head) const;
 
     [[nodiscard]] std::size_t length() const noexcept { return len_; }
     void reset() noexcept { len_ = 0; appended_this_pos_ = 0; }

@@ -41,16 +41,6 @@ ReferenceEngine::ReferenceEngine(const QuantizedModelWeights& weights, EngineOpt
     init_scratch();
 }
 
-ReferenceEngine::ReferenceEngine(const ModelWeights& weights, bool use_kv8,
-                                 unsigned kv_bits)
-    : ReferenceEngine(weights,
-                      EngineOptions{.use_kv8 = use_kv8, .kv_bits = kv_bits}) {}
-
-ReferenceEngine::ReferenceEngine(const QuantizedModelWeights& weights, bool use_kv8,
-                                 unsigned kv_bits)
-    : ReferenceEngine(weights,
-                      EngineOptions{.use_kv8 = use_kv8, .kv_bits = kv_bits}) {}
-
 void validate(const EngineOptions& opts) {
     if (opts.max_batch == 0) {
         throw std::invalid_argument("EngineOptions: max_batch must be >= 1");
@@ -58,16 +48,16 @@ void validate(const EngineOptions& opts) {
     if (opts.seed_baseline &&
         (opts.threads != 1 || opts.max_batch != 1 || opts.kv_page_tokens != 0)) {
         // The seed baseline reproduces the strictly sequential pre-fast-path
-        // loop; a worker pool, batch slots, or a paged cache would silently
-        // measure something that never existed.
+        // loop; a worker pool, batch slots, or a multi-page history would
+        // silently measure something that never existed.
         throw std::invalid_argument(
             "EngineOptions: seed_baseline requires threads == 1, max_batch == 1, "
-            "and a contiguous KV cache");
+            "and one KV page per slot (kv_page_tokens == 0)");
     }
     if (opts.kv_pool_pages > 0 && opts.kv_page_tokens == 0) {
         throw std::invalid_argument(
-            "EngineOptions: kv_pool_pages needs kv_page_tokens > 0 (a pool of "
-            "pages is meaningless for contiguous caches)");
+            "EngineOptions: kv_pool_pages needs kv_page_tokens > 0 (one "
+            "max_seq_len page per slot is not a budget)");
     }
     if (opts.prefix_sharing && opts.kv_page_tokens == 0) {
         throw std::invalid_argument(
@@ -96,31 +86,24 @@ void ReferenceEngine::init_scratch() {
     if (opts_.threads > 1) pool_ = std::make_unique<ThreadPool>(opts_.threads);
     rope_ = RopeTable(cfg_.head_dim(), cfg_.max_seq_len, cfg_.rope_theta);
 
-    // Only the cache variant the options select is constructed: a full float
-    // KV reservation per slot is exactly the kind of dead capacity the
-    // batch dimension would multiply.
+    // Only the arena the options select is constructed: a full float KV
+    // reservation per slot is exactly the kind of dead capacity the batch
+    // dimension would multiply.
     const std::size_t mb = opts_.max_batch;
-    if (paged()) {
-        kvpool::KvPoolConfig pc;
-        pc.page_tokens = opts_.kv_page_tokens;
-        pc.n_pages = opts_.kv_pool_pages > 0
-                         ? opts_.kv_pool_pages
-                         : mb * ((cfg_.max_seq_len + pc.page_tokens - 1) /
-                                 pc.page_tokens);
-        if (opts_.use_kv8) {
-            paged_quant_ =
-                std::make_unique<kvpool::PagedQuantizedKvArena>(cfg_, pc, opts_.kv_bits);
-            for (std::size_t s = 0; s < mb; ++s) (void)paged_quant_->create_sequence();
-        } else {
-            paged_float_ = std::make_unique<kvpool::PagedKvArena>(cfg_, pc);
-            for (std::size_t s = 0; s < mb; ++s) (void)paged_float_->create_sequence();
-        }
-    } else if (opts_.use_kv8) {
-        kv_quant_.reserve(mb);
-        for (std::size_t s = 0; s < mb; ++s) kv_quant_.emplace_back(cfg_, opts_.kv_bits);
+    const kvpool::KvPoolConfig pc = kvpool::slot_pool_config(
+        cfg_, mb, opts_.kv_page_tokens, opts_.kv_pool_pages);
+    kvpool::PagedArena* arena = nullptr;
+    if (opts_.use_kv8) {
+        quant_kv_ =
+            std::make_unique<kvpool::PagedQuantizedKvArena>(cfg_, pc, opts_.kv_bits);
+        arena = quant_kv_.get();
     } else {
-        kv_float_.reserve(mb);
-        for (std::size_t s = 0; s < mb; ++s) kv_float_.emplace_back(cfg_);
+        float_kv_ = std::make_unique<kvpool::PagedKvArena>(cfg_, pc);
+        arena = float_kv_.get();
+    }
+    for (std::size_t s = 0; s < mb; ++s) (void)arena->create_sequence();
+    if (opts_.prefix_sharing) {
+        prefix_ = std::make_unique<prefix::PrefixCache>(arena->pool());
     }
     pos_.assign(mb, 0);
     slots_ = engine::SlotLedger(mb);
@@ -137,12 +120,10 @@ void ReferenceEngine::init_scratch() {
     down_.resize(mb * cfg_.dim);
     logits_.resize(mb * cfg_.vocab_size);
     scores_.resize(mb * cfg_.n_heads * cfg_.max_seq_len);
-    if (opts_.use_kv8 || paged()) {
-        // Dequant scratch (KV8) or page-gather scratch (paged float): either
-        // way the attention kernel consumes one contiguous history per task.
-        kv_deq_k_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
-        kv_deq_v_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
-    }
+    // Dequant scratch (KV8) or page-gather scratch (multi-page float): either
+    // way the attention kernel consumes one contiguous history per task.
+    kv_deq_k_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
+    kv_deq_v_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
 
     if (opts_.packed_weights) {
         check(qw_ != nullptr, "ReferenceEngine: packed_weights needs quantized weights");
@@ -171,14 +152,11 @@ void ReferenceEngine::reset() {
 
 void ReferenceEngine::reset_session(std::size_t slot) {
     check(slot < opts_.max_batch, "reset_session: slot out of range");
-    if (paged_quant_ != nullptr) {
-        paged_quant_->reset_sequence(slot);  // pages back to the pool
-    } else if (paged_float_ != nullptr) {
-        paged_float_->reset_sequence(slot);
-    } else if (opts_.use_kv8) {
-        kv_quant_[slot].reset();
+    // Pages back to the pool (shared ones just lose this slot's reference).
+    if (quant_kv_ != nullptr) {
+        quant_kv_->reset_sequence(slot);
     } else {
-        kv_float_[slot].reset();
+        float_kv_->reset_sequence(slot);
     }
     pos_[slot] = 0;
 }
@@ -236,6 +214,20 @@ std::span<const float> ReferenceEngine::mlp_norm(std::size_t layer) const {
                           : std::span<const float>(qw_->layers[layer].mlp_norm);
 }
 
+ReferenceEngine::History ReferenceEngine::history(std::size_t slot, std::size_t layer,
+                                                 std::size_t kv_head, std::size_t len,
+                                                 std::span<float> k_out,
+                                                 std::span<float> v_out) const {
+    if (quant_kv_ != nullptr) {
+        return {quant_kv_->dequant_keys_into(slot, layer, kv_head, len, k_out),
+                quant_kv_->dequant_values_into(slot, layer, kv_head, len, v_out)};
+    }
+    // Per-page gather past one page: the host pays a copy for paging exactly
+    // where the device pays per-page bursts.
+    return {float_kv_->gather_keys(slot, layer, kv_head, len, k_out),
+            float_kv_->gather_values(slot, layer, kv_head, len, v_out)};
+}
+
 void ReferenceEngine::attention_block(std::size_t layer, std::size_t nb,
                                       std::span<const std::size_t> slots) {
     const obs::ScopedPhase phase(profiler_, obs::Phase::kAttention);
@@ -279,35 +271,27 @@ void ReferenceEngine::attention_block(std::size_t layer, std::size_t nb,
             }
         }
         const std::span<const float> vb = std::span<const float>(v_).subspan(b * kvd, kvd);
-        if (paged_quant_ != nullptr) {
-            paged_quant_->append(slots[b], layer, kb, vb);
-        } else if (paged_float_ != nullptr) {
-            paged_float_->append(slots[b], layer, kb, vb);
-        } else if (opts_.use_kv8) {
-            kv_quant_[slots[b]].append(layer, kb, vb);
+        if (quant_kv_ != nullptr) {
+            quant_kv_->append(slots[b], layer, kb, vb);
         } else {
-            kv_float_[slots[b]].append(layer, kb, vb);
+            float_kv_->append(slots[b], layer, kb, vb);
         }
     }
 
     const std::size_t heads_per_kv = cfg_.n_heads / cfg_.n_kv_heads;
 
     if (opts_.seed_baseline) {
-        // Seed loop (single-session only): gather an owning per-query-head KV
+        // Seed loop (single-session only): read an owning per-query-head KV
         // copy and allocate scores inside attention_head, exactly like the
         // pre-fast-path code.
         const std::size_t slot = slots[0];
         const std::size_t ctx = pos_[slot] + 1;
         for (std::size_t h = 0; h < cfg_.n_heads; ++h) {
-            const std::size_t kvh = h / heads_per_kv;
-            const std::vector<float> keys =
-                opts_.use_kv8 ? kv_quant_[slot].keys_for_head(layer, kvh, ctx)
-                              : kv_float_[slot].keys_for_head(layer, kvh, ctx);
-            const std::vector<float> vals =
-                opts_.use_kv8 ? kv_quant_[slot].values_for_head(layer, kvh, ctx)
-                              : kv_float_[slot].values_for_head(layer, kvh, ctx);
-            attention_head(std::span<const float>(q_).subspan(h * hd, hd), keys, vals,
-                           ctx, hd, std::span<float>(att_out_).subspan(h * hd, hd));
+            std::vector<float> keys(ctx * hd), vals(ctx * hd);
+            const History hist = history(slot, layer, h / heads_per_kv, ctx, keys, vals);
+            attention_head(std::span<const float>(q_).subspan(h * hd, hd), hist.keys,
+                           hist.values, ctx, hd,
+                           std::span<float>(att_out_).subspan(h * hd, hd));
         }
         proj(layer, kWo, nb, std::span<const float>(att_out_).first(dim),
              std::span<float>(xb_).first(dim));
@@ -325,32 +309,14 @@ void ReferenceEngine::attention_block(std::size_t layer, std::size_t nb,
         const std::size_t slot = slots[b];
         const std::size_t ctx = pos_[slot] + 1;
         const std::size_t deq = (b * cfg_.n_kv_heads + kvh) * slab;
-        std::span<const float> keys, vals;
-        if (paged_quant_ != nullptr) {
-            keys = paged_quant_->dequant_keys_into(
-                slot, layer, kvh, ctx, std::span<float>(kv_deq_k_).subspan(deq, slab));
-            vals = paged_quant_->dequant_values_into(
-                slot, layer, kvh, ctx, std::span<float>(kv_deq_v_).subspan(deq, slab));
-        } else if (paged_float_ != nullptr) {
-            // Per-page gather instead of one zero-copy span: the host pays a
-            // copy for paging exactly where the device pays per-page bursts.
-            keys = paged_float_->gather_keys(
-                slot, layer, kvh, ctx, std::span<float>(kv_deq_k_).subspan(deq, slab));
-            vals = paged_float_->gather_values(
-                slot, layer, kvh, ctx, std::span<float>(kv_deq_v_).subspan(deq, slab));
-        } else if (opts_.use_kv8) {
-            keys = kv_quant_[slot].dequant_keys_into(
-                layer, kvh, ctx, std::span<float>(kv_deq_k_).subspan(deq, slab));
-            vals = kv_quant_[slot].dequant_values_into(
-                layer, kvh, ctx, std::span<float>(kv_deq_v_).subspan(deq, slab));
-        } else {
-            keys = kv_float_[slot].keys_span(layer, kvh, ctx);
-            vals = kv_float_[slot].values_span(layer, kvh, ctx);
-        }
+        const History hist =
+            history(slot, layer, kvh, ctx, std::span<float>(kv_deq_k_).subspan(deq, slab),
+                    std::span<float>(kv_deq_v_).subspan(deq, slab));
         for (std::size_t h = kvh * heads_per_kv; h < (kvh + 1) * heads_per_kv; ++h) {
             attention_head(
-                std::span<const float>(q_).subspan(b * dim + h * hd, hd), keys, vals,
-                ctx, hd, std::span<float>(att_out_).subspan(b * dim + h * hd, hd),
+                std::span<const float>(q_).subspan(b * dim + h * hd, hd), hist.keys,
+                hist.values, ctx, hd,
+                std::span<float>(att_out_).subspan(b * dim + h * hd, hd),
                 std::span<float>(scores_).subspan(
                     (b * cfg_.n_heads + h) * cfg_.max_seq_len, cfg_.max_seq_len));
         }
@@ -446,85 +412,33 @@ std::span<const float> ReferenceEngine::decode_batch(
 
 std::size_t ReferenceEngine::probe_prefix(std::span<const std::int32_t> prompt,
                                           std::size_t max_cover) const {
-    if (!opts_.prefix_sharing) return 0;
-    const std::vector<std::uint64_t> hashes =
-        prefix::prefix_chain_hashes(prompt, opts_.kv_page_tokens);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    const std::size_t matched = prefix_index_.match(hashes).size();
-    return std::min(matched * opts_.kv_page_tokens, max_cover);
+    return prefix_ != nullptr ? prefix_->probe(prompt, max_cover) : 0;
 }
 
 std::size_t ReferenceEngine::adopt_prefix(std::size_t slot,
                                           std::span<const std::int32_t> prompt,
                                           std::size_t max_cover) {
-    if (!opts_.prefix_sharing) return 0;
+    if (prefix_ == nullptr) return 0;
     check(slot < opts_.max_batch, "adopt_prefix: slot out of range");
-    check(pos_[slot] == 0, "adopt_prefix: slot already holds history");
-    const std::size_t pt = opts_.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    const std::vector<std::size_t> pages = prefix_index_.match(hashes);
-    const std::size_t covered = std::min(pages.size() * pt, max_cover);
-    if (covered == 0) return 0;
-    // Adopt only the pages the covered tokens reach: the cap may stop
-    // mid-page (the last prompt token is always re-fed so the session gets
-    // its logits), in which case the first write CoWs that page.
-    const std::size_t n_pages = (covered + pt - 1) / pt;
-    const std::span<const std::size_t> chain(pages.data(), n_pages);
-    if (paged_quant_ != nullptr) {
-        paged_quant_->adopt_prefix(slot, chain, covered);
-    } else {
-        paged_float_->adopt_prefix(slot, chain, covered);
-    }
+    const std::size_t covered = prefix_->adopt(slot, prompt, max_cover);
     pos_[slot] = covered;
-    prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-    prefix_covered_.fetch_add(covered, std::memory_order_relaxed);
     return covered;
 }
 
 std::size_t ReferenceEngine::register_prefix(std::size_t slot,
                                              std::span<const std::int32_t> prompt,
                                              std::size_t max_new_pages) {
-    if (!opts_.prefix_sharing || max_new_pages == 0) return 0;
+    if (prefix_ == nullptr) return 0;
     check(slot < opts_.max_batch, "register_prefix: slot out of range");
-    const std::size_t pt = opts_.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    kvpool::KvBlockPool& pool = pool_ref();
-    // Every full prompt page must already be resident in the slot (its
-    // prefill just completed).
-    if (pool.seq_tokens(slot) < hashes.size() * pt) return 0;
-    const std::vector<std::size_t>& table = pool.block_table(slot);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    std::size_t pinned = 0;
-    for (std::size_t k = 0; k < hashes.size() && pinned < max_new_pages; ++k) {
-        const std::uint64_t parent = k == 0 ? 0 : hashes[k - 1];
-        if (!prefix_index_.insert(hashes[k], table[k], parent, k)) continue;
-        pool.retain_page(table[k]);  // the index's own reference
-        ++pinned;
-    }
-    return pinned;
+    return prefix_->pin(slot, prompt, max_new_pages);
 }
 
 std::size_t ReferenceEngine::drop_prefix_cache() {
-    if (!opts_.prefix_sharing) return 0;
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    const std::vector<std::size_t> pages = prefix_index_.clear();
-    kvpool::KvBlockPool& pool = pool_ref();
-    for (const std::size_t p : pages) pool.release_page(p);
-    return pages.size();
+    return prefix_ != nullptr ? prefix_->drop() : 0;
 }
 
 engine::PrefixSharingStats ReferenceEngine::prefix_stats() const {
-    if (!opts_.prefix_sharing) return {};
-    engine::PrefixSharingStats s;
-    s.hits = prefix_hits_.load(std::memory_order_relaxed);
-    s.covered_tokens = prefix_covered_.load(std::memory_order_relaxed);
-    {
-        const std::lock_guard<std::mutex> lock(prefix_mu_);
-        s.pages_shared = prefix_index_.pages_held();
-    }
-    s.cow_copies = static_cast<std::size_t>(pool_ref().cow_copies());
-    return s;
+    return prefix_ != nullptr ? prefix_->stats() : engine::PrefixSharingStats{};
 }
 
 std::size_t ReferenceEngine::reserve_slot() { return slots_.acquire(); }

@@ -16,31 +16,31 @@
 // quantized GEMV/GEMM fast path (or preallocated buffers on the float path),
 // RoPE trigonometry is precomputed per position at construction, attention
 // reuses per-head scores scratch, and the KV history is read as zero-copy
-// spans (float cache) or dequantized into persistent per-head scratch
-// (quantized cache). With `threads > 1` GEMV rows and attention KV-head
-// clusters are partitioned across a persistent worker pool; results are
-// bit-for-bit independent of the thread count.
+// spans (float, history within one page) or walked page by page into
+// persistent per-head scratch (KV8 dequant, multi-page float). With
+// `threads > 1` GEMV rows and attention KV-head clusters are partitioned
+// across a persistent worker pool; results are bit-for-bit independent of
+// the thread count.
 //
 // Multi-session decode: with `max_batch > 1` the engine owns that many
-// session slots, each with its own KV cache and position. `decode_batch`
+// session slots, each with its own KV history and position. `decode_batch`
 // advances any subset of them in lockstep, walking the quantized weights
 // ONCE per step via the skinny-GEMM fast path — decoding is weight-bound, so
 // amortizing the walk across sessions is the host-side mirror of the paper's
 // bandwidth argument. Every slot's logits are bit-for-bit identical to what
 // a dedicated single-session engine fed the same tokens would produce.
 //
-// Paged KV (EngineOptions::kv_page_tokens > 0): slots draw fixed-size token
-// pages from a shared kvpool arena instead of reserving max_seq_len each, so
-// aggregate KV capacity follows the pool budget (the paper's capacity axis)
-// rather than max_batch x context window. Histories are gathered per page
-// into scratch before attention; logits stay bit-for-bit identical to the
-// contiguous path on every option combination.
+// KV storage is always a kvpool arena (float or KV8), slot s being sequence s.
+// With EngineOptions::kv_page_tokens > 0 slots draw fixed-size token pages
+// from a shared pool instead of reserving max_seq_len each, so aggregate KV
+// capacity follows the pool budget (the paper's capacity axis) rather than
+// max_batch x context window; 0 gives each slot one max_seq_len page.
+// Logits are bit-for-bit identical across page sizes on every option
+// combination (model::KvCache / QuantizedKvCache are the test oracles).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -48,9 +48,8 @@
 #include "engine/decode_backend.hpp"
 #include "kvpool/paged_kv_cache.hpp"
 #include "model/kernels.hpp"
-#include "model/kv_cache.hpp"
 #include "model/weights.hpp"
-#include "prefix/prefix_index.hpp"
+#include "prefix/prefix_cache.hpp"
 
 namespace efld::model {
 
@@ -68,17 +67,17 @@ struct EngineOptions {
     // oversubscription only adds context switches; borrow the global pool for
     // process-wide sizing instead.
     std::size_t threads = 1;
-    // Concurrent session slots (KV caches + positions) for decode_batch.
+    // Concurrent session slots (KV histories + positions) for decode_batch.
     std::size_t max_batch = 1;
     // Walk projections through the packed 4-bit bus streams (pack_codes) the
     // way the hardware does, instead of the byte-per-code functional storage.
     // Requires quantized weights with 4-bit codes. Bit-for-bit identical.
     bool packed_weights = false;
-    // Paged KV cache: > 0 replaces the per-slot max_seq_len reservations with
-    // a shared kvpool arena of kv_page_tokens-token pages — slots take pages
-    // as their history grows and return them on release, so aggregate KV
-    // capacity is the POOL size, not max_batch x max_seq_len. Logits are
-    // bit-for-bit identical to the contiguous path. 0 = contiguous caches.
+    // KV page size in tokens: > 0 pages the kvpool arena into
+    // kv_page_tokens-token pages — slots take pages as their history grows
+    // and return them on release, so aggregate KV capacity is the POOL size,
+    // not max_batch x max_seq_len. Logits are bit-for-bit identical at every
+    // page size. 0 = one max_seq_len page per slot.
     std::size_t kv_page_tokens = 0;
     // Pool size in pages when paging. 0 = worst case (max_batch full-context
     // sessions — paging layout without capacity pressure); an admission layer
@@ -102,14 +101,9 @@ void validate(const EngineOptions& opts);
 class ReferenceEngine : public engine::DecodeBackend {
 public:
     // Non-owning: `weights` must outlive the engine.
-    ReferenceEngine(const ModelWeights& weights, EngineOptions opts);
-    ReferenceEngine(const QuantizedModelWeights& weights, EngineOptions opts);
-
-    // Historical constructors, kept for existing call sites.
-    explicit ReferenceEngine(const ModelWeights& weights, bool use_kv8 = false,
-                             unsigned kv_bits = 8);
-    explicit ReferenceEngine(const QuantizedModelWeights& weights, bool use_kv8 = false,
-                             unsigned kv_bits = 8);
+    explicit ReferenceEngine(const ModelWeights& weights, EngineOptions opts = {});
+    explicit ReferenceEngine(const QuantizedModelWeights& weights,
+                             EngineOptions opts = {});
 
     // Runs one token at the next position (session slot 0); returns logits
     // [vocab].
@@ -158,9 +152,8 @@ public:
     void set_profiler(obs::Profiler* profiler) override { profiler_ = profiler; }
 
     // Prefix sharing (active when opts_.prefix_sharing): see decode_backend.hpp
-    // for the contract. probe is safe from any thread (the router's affinity
-    // snapshot); adopt/register/drop run on the driver thread that owns the
-    // pool, with the index itself guarded by prefix_mu_.
+    // for the contract. Each forwards to the prefix::PrefixCache over this
+    // engine's pool, which the twin shares (threading contract there).
     [[nodiscard]] std::size_t probe_prefix(std::span<const std::int32_t> prompt,
                                            std::size_t max_cover) const override;
     std::size_t adopt_prefix(std::size_t slot, std::span<const std::int32_t> prompt,
@@ -175,6 +168,15 @@ private:
     void init_scratch();
     void attention_block(std::size_t layer, std::size_t nb,
                          std::span<const std::size_t> slots);
+    // `len` history rows of one KV head of `slot`, K and V: dequantized (KV8)
+    // or gathered (float) into k_out/v_out, or viewed in place when a float
+    // history lies in one page.
+    struct History {
+        std::span<const float> keys, values;
+    };
+    [[nodiscard]] History history(std::size_t slot, std::size_t layer,
+                                  std::size_t kv_head, std::size_t len,
+                                  std::span<float> k_out, std::span<float> v_out) const;
     void mlp_block(std::size_t layer, std::size_t nb);
 
     // Batched weight accessor bridging the float / quantized storage:
@@ -200,36 +202,15 @@ private:
     const ModelWeights* fw_ = nullptr;
     const QuantizedModelWeights* qw_ = nullptr;
 
-    [[nodiscard]] bool paged() const noexcept { return opts_.kv_page_tokens > 0; }
-
-    // Per-session-slot state (size max_batch). Only the cache variant the
-    // options select is constructed; the other vectors stay empty. With
-    // paging, slot s is sequence s of the shared arena instead.
-    std::vector<KvCache> kv_float_;
-    std::vector<QuantizedKvCache> kv_quant_;
-    std::unique_ptr<kvpool::PagedKvArena> paged_float_;
-    std::unique_ptr<kvpool::PagedQuantizedKvArena> paged_quant_;
+    // KV storage: the one arena the options select (the other stays null),
+    // slot s being its sequence s.
+    std::unique_ptr<kvpool::PagedKvArena> float_kv_;
+    std::unique_ptr<kvpool::PagedQuantizedKvArena> quant_kv_;
+    std::unique_ptr<prefix::PrefixCache> prefix_;  // only with prefix_sharing
     std::vector<std::size_t> pos_;
     engine::SlotLedger slots_;  // DecodeBackend reservations
     engine::StepCost last_cost_{};
     obs::Profiler* profiler_ = nullptr;  // serving-layer owned; may be null
-
-    // The live paged pool behind whichever arena the options selected (only
-    // valid when paged()).
-    [[nodiscard]] kvpool::KvBlockPool& pool_ref() noexcept {
-        return paged_quant_ != nullptr ? paged_quant_->pool() : paged_float_->pool();
-    }
-    [[nodiscard]] const kvpool::KvBlockPool& pool_ref() const noexcept {
-        return paged_quant_ != nullptr ? paged_quant_->pool() : paged_float_->pool();
-    }
-
-    // Prefix index + its lock (probe reads cross-thread while the driver
-    // adopts/registers). Hit counters are relaxed atomics so prefix_stats
-    // stays callable from the stats path without ordering games.
-    mutable std::mutex prefix_mu_;
-    prefix::PrefixIndex prefix_index_;
-    std::atomic<std::size_t> prefix_hits_{0};
-    std::atomic<std::size_t> prefix_covered_{0};
 
     std::unique_ptr<ThreadPool> pool_;  // only when opts_.threads > 1
     RopeTable rope_;                    // per-position sin/cos, built once
@@ -246,7 +227,7 @@ private:
         logits_;
     std::vector<float> scores_;   // [batch][n_heads][max_seq_len] attention scores
     // [batch][n_kv_heads][max_seq_len*head_dim] history scratch: dequant
-    // target for the KV8 cache, gather target for paged float pages.
+    // target for KV8 pages, gather target for multi-page float histories.
     std::vector<float> kv_deq_k_;
     std::vector<float> kv_deq_v_;
 };

@@ -16,11 +16,11 @@
 // private by construction.
 //
 // Ownership: the index is bookkeeping over a KvBlockPool. Every entry holds
-// one pool reference on its page (taken by the caller via retain_page at
-// insert, dropped at clear/erase time by the caller via release_page) — the
-// caller owns the refcount discipline and the locking; the index is a plain
-// map. This mirrors KvBlockPool's pure-bookkeeping stance: physical KV bytes
-// live in the arenas.
+// one pool reference on its page (taken via retain_page at insert, dropped
+// via release_page at clear) — PrefixCache (prefix_cache.hpp) owns that
+// refcount discipline and the locking; the index is a plain map. This
+// mirrors KvBlockPool's pure-bookkeeping stance: physical KV bytes live in
+// the arenas.
 #pragma once
 
 #include <cstdint>

@@ -88,9 +88,8 @@ ServeEngine::ServeEngine(const model::QuantizedModelWeights& weights, ServeOptio
     accel_opts.collect_timing = opts_.collect_timing;
     model::EngineOptions eo = engine_options(opts_);
     if (governor_ != nullptr) {
-        // The host backend's paged arena and the governor's ledger budget the
-        // same pool; the accel backend prices the page layout in its cycle
-        // model (its functional KV storage is host-side scaffolding).
+        // Either backend's KV arena and the governor's ledger budget the
+        // same pool (make_backend hands the twin the same page count).
         eo.kv_page_tokens = opts_.kv_page_tokens;
         eo.kv_pool_pages = governor_->total_pages();
         eo.prefix_sharing = opts_.prefix_sharing;

@@ -162,8 +162,9 @@ public:
     // Bring-your-own backend: the engine serves whatever DecodeBackend it is
     // handed (slot count comes from backend->max_batch(), which overrides
     // ServeOptions::max_batch). With paging, the governor budgets against the
-    // backend's config; hand it a backend whose own KV layout matches
-    // (EngineOptions::kv_page_tokens / kv_pool_pages for the host engine).
+    // backend's config; hand it a backend whose own KV pool matches
+    // (EngineOptions::kv_page_tokens / kv_pool_pages, as make_backend passes
+    // them to either backend).
     ServeEngine(std::unique_ptr<engine::DecodeBackend> backend, ServeOptions opts);
 
     // Stops the background driver (if running) before tearing down.

@@ -36,7 +36,8 @@ TEST(Accelerator, MatchesQuantizedSoftwareTwin) {
     // The W4A16+KV8 reference engine is the software twin of the datapath;
     // logits must agree closely (differences: fp16 arithmetic, LUT rope/exp).
     Accelerator acc(micro_fixture().packed);
-    model::ReferenceEngine twin(micro_fixture().qw, /*use_kv8=*/true);
+    model::ReferenceEngine twin(micro_fixture().qw,
+                                model::EngineOptions{.use_kv8 = true});
     std::vector<float> la, lt;
     for (const std::int32_t t : {1, 7, 3, 9, 2}) {
         la = acc.step(t).logits;
@@ -62,7 +63,8 @@ TEST(Accelerator, CloseToFloatReference) {
 TEST(Accelerator, ArgmaxAgreementWithTwin) {
     // Same top-1 token on a short greedy rollout.
     Accelerator acc(micro_fixture().packed);
-    model::ReferenceEngine twin(micro_fixture().qw, true);
+    model::ReferenceEngine twin(micro_fixture().qw,
+                                model::EngineOptions{.use_kv8 = true});
     std::int32_t ta = 3, tt = 3;
     for (int i = 0; i < 6; ++i) {
         const auto la = acc.step(ta).logits;
@@ -155,7 +157,7 @@ TEST(Accelerator, GqaModelWorks) {
     cfg.n_kv_heads = 2;
     const Fixture f(cfg, 7);
     Accelerator acc(f.packed);
-    model::ReferenceEngine twin(f.qw, true);
+    model::ReferenceEngine twin(f.qw, model::EngineOptions{.use_kv8 = true});
     std::vector<float> la, lt;
     for (const std::int32_t t : {1, 2, 3, 4}) {
         la = acc.step(t).logits;

@@ -1,9 +1,11 @@
 // The DecodeBackend seam: both implementations (host ReferenceEngine, accel
 // Accelerator) must honor the same slot-lifecycle and decode contract, report
-// honest StepCosts, and stay bit-identical to their own native entry points —
-// with contiguous per-slot KV reservations AND with the paged kvpool layout
-// (every parity assertion compares a paged batch against a contiguous solo
-// run, so paged-vs-contiguous bit-exactness is part of the contract).
+// honest StepCosts, and stay bit-identical to their own native entry points.
+// Both keep KV in a kvpool arena, run here with one max_seq_len page per slot
+// (kv_page_tokens 0, the contiguous layout) AND with small pages: every
+// parity assertion compares a paged batch against a one-page solo run, so
+// bit-exactness across page sizes is part of the contract. The twin's pool
+// is real: shared prefix pages, pins and exhaustion are checked on it too.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -16,6 +18,7 @@
 #include "common/check.hpp"
 #include "engine/backend_factory.hpp"
 #include "engine/decode_backend.hpp"
+#include "kvpool/kv_block_pool.hpp"
 #include "model/reference_engine.hpp"
 
 namespace efld::engine {
@@ -29,7 +32,7 @@ const model::QuantizedModelWeights& test_weights() {
     return qw;
 }
 
-// (backend kind, kv_page_tokens): 0 = contiguous KV, > 0 = paged kvpool.
+// (backend kind, kv_page_tokens): 0 = one max_seq_len page per slot.
 using ContractParam = std::tuple<BackendKind, std::size_t>;
 
 BackendBundle make_with(BackendKind kind, std::size_t max_batch,
@@ -47,7 +50,8 @@ protected:
     BackendBundle make(std::size_t max_batch) {
         return make_with(std::get<0>(GetParam()), max_batch, std::get<1>(GetParam()));
     }
-    // The parity oracle: always a CONTIGUOUS solo backend of the same kind.
+    // The parity oracle: always a one-page (contiguous) solo backend of the
+    // same kind.
     BackendBundle make_solo_contiguous() {
         return make_with(std::get<0>(GetParam()), 1, 0);
     }
@@ -222,6 +226,86 @@ TEST(DecodeBackendPaged, HostPoolSmallerThanWorstCaseStillServesShortSessions) {
     EXPECT_THROW(eng.decode_batch(std::span<const std::int32_t>(&overflow, 1),
                                   std::span<const std::size_t>(&s, 1), row),
                  efld::Error);
+}
+
+TEST(DecodeBackendPaged, TwinAdoptersShareOnePoolPageAndDropFreesPins) {
+    // The twin's KV8 lives in its kvpool arena: two sessions adopting one
+    // registered prefix map the SAME physical pages (no copies), an adopter
+    // decodes bit-identically to a session that re-prefilled, and dropping
+    // the prefix cache returns the pinned pages to the free list.
+    model::EngineOptions eo;
+    eo.use_kv8 = true;
+    eo.max_batch = 3;
+    eo.kv_page_tokens = 4;
+    eo.kv_pool_pages = 8;
+    BackendBundle b = make_backend(BackendKind::kAccel, test_weights(), eo);
+    auto& acc = dynamic_cast<accel::Accelerator&>(*b.backend);
+    const kvpool::KvBlockPool& pool = acc.kv_arena().pool();
+    const std::size_t vocab = acc.config().vocab_size;
+    std::vector<float> logits(vocab);
+    const auto feed = [&](std::size_t slot, std::int32_t tok) {
+        acc.decode_batch(std::span<const std::int32_t>(&tok, 1),
+                         std::span<const std::size_t>(&slot, 1), logits);
+    };
+
+    const std::vector<std::int32_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+    const std::size_t donor = acc.reserve_slot();
+    for (const std::int32_t t : prompt) feed(donor, t);
+    EXPECT_EQ(acc.register_prefix(donor, prompt, 8), 2u);  // 2 full pages
+    acc.release_slot(donor);
+    EXPECT_EQ(pool.pages_used(), 2u);  // only the pins survive the donor
+
+    const std::size_t a = acc.reserve_slot();
+    const std::size_t c = acc.reserve_slot();
+    EXPECT_EQ(acc.probe_prefix(prompt, prompt.size() - 1), 8u);
+    EXPECT_EQ(acc.adopt_prefix(a, prompt, prompt.size() - 1), 8u);
+    EXPECT_EQ(acc.adopt_prefix(c, prompt, prompt.size() - 1), 8u);
+    EXPECT_EQ(acc.position(a), 8u);
+    for (std::size_t p = 0; p < 2; ++p) {
+        EXPECT_EQ(pool.block_table(a)[p], pool.block_table(c)[p]);
+        EXPECT_EQ(pool.page_refcount(pool.block_table(a)[p]), 3u);  // pin + 2
+    }
+    EXPECT_EQ(pool.pages_used(), 2u);
+    EXPECT_EQ(acc.prefix_stats().hits, 2u);
+    EXPECT_EQ(acc.prefix_stats().pages_shared, 2u);
+
+    feed(a, prompt.back());
+    const std::vector<float> adopted = logits;
+    const std::size_t fresh = acc.reserve_slot();
+    for (const std::int32_t t : prompt) feed(fresh, t);
+    EXPECT_EQ(adopted, logits);
+
+    acc.release_slot(a);
+    acc.release_slot(c);
+    acc.release_slot(fresh);
+    EXPECT_EQ(pool.pages_used(), 2u);
+    EXPECT_EQ(acc.drop_prefix_cache(), 2u);
+    EXPECT_EQ(pool.pages_used(), 0u);
+    EXPECT_EQ(pool.pages_free(), 8u);
+    EXPECT_EQ(acc.probe_prefix(prompt, prompt.size() - 1), 0u);
+}
+
+TEST(DecodeBackendPaged, TwinPoolBudgetIsEnforced) {
+    // A twin built with kv_pool_pages = N holds N pages of KV and no more:
+    // the append that needs page N+1 throws instead of growing past the
+    // budget the serving layer's governor admits against.
+    model::EngineOptions eo;
+    eo.use_kv8 = true;
+    eo.kv_page_tokens = 4;
+    eo.kv_pool_pages = 2;
+    BackendBundle b = make_backend(BackendKind::kAccel, test_weights(), eo);
+    DecodeBackend& be = *b.backend;
+    const std::size_t s = be.reserve_slot();
+    std::vector<float> row(be.config().vocab_size);
+    for (std::int32_t t = 0; t < 8; ++t) {
+        be.decode_batch(std::span<const std::int32_t>(&t, 1),
+                        std::span<const std::size_t>(&s, 1), row);
+    }
+    const std::int32_t overflow = 0;
+    EXPECT_THROW(be.decode_batch(std::span<const std::int32_t>(&overflow, 1),
+                                 std::span<const std::size_t>(&s, 1), row),
+                 efld::Error);
+    EXPECT_EQ(be.position(s), 8u);  // the refused step left the slot intact
 }
 
 TEST(DecodeBackendFactory, KindRoundTrips) {

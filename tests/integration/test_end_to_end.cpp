@@ -37,7 +37,7 @@ TEST(EndToEnd, OfflineToDecodePipeline) {
     ASSERT_TRUE(host.report().crc_ok);
 
     // Decode against the software twin (same quantized weights, KV8).
-    model::ReferenceEngine twin(qw, /*use_kv8=*/true);
+    model::ReferenceEngine twin(qw, model::EngineOptions{.use_kv8 = true});
     std::vector<float> lh, lt;
     double sim_ns = 0.0;
     for (const std::int32_t t : {1, 9, 4, 7, 2, 8}) {

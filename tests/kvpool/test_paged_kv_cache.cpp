@@ -1,7 +1,8 @@
 // Paged KV arenas vs the contiguous caches: page-gathered (or
 // page-dequantized) history must be bit-for-bit what the contiguous
-// reservation returns, pages must recycle across sequences, and exhaustion
-// must surface as an error, not corruption.
+// reservation returns, pre-quantized entries must read back verbatim (also
+// through a copy-on-write copy), pages must recycle across sequences, and
+// exhaustion must surface as an error, not corruption.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -98,6 +99,88 @@ TEST(PagedQuantizedKvArena, DequantMatchesContiguousQuantizedCache) {
             for (std::size_t i = 0; i < gv.size(); ++i) ASSERT_EQ(gv[i], wv[i]);
         }
     }
+}
+
+TEST(PagedQuantizedKvArena, PreQuantizedAppendReadsBackAndSurvivesCow) {
+    // The twin's path: entries quantized elsewhere go in through
+    // append_quantized and must come back bit-for-bit — in the donor, and in
+    // an adopter whose first write copies the shared page.
+    const model::ModelConfig c = cfg();
+    PagedQuantizedKvArena arena(c, {.page_tokens = 4, .n_pages = 8}, 8);
+    const std::size_t donor = arena.create_sequence();
+    const std::size_t hd = c.head_dim();
+    const auto at = [&](std::size_t t, std::size_t l, std::size_t h) {
+        return (t * c.n_layers + l) * c.n_kv_heads + h;
+    };
+
+    Xoshiro256 rng(13);
+    std::vector<quant::KvQuantized> want_k, want_v;  // [token][layer][head]
+    const auto append_token = [&](std::size_t seq) {
+        for (std::size_t l = 0; l < c.n_layers; ++l) {
+            std::vector<quant::KvQuantized> k(c.n_kv_heads), v(c.n_kv_heads);
+            for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
+                k[h] = quant::kv_quantize(random_vec(rng, hd));
+                v[h] = quant::kv_quantize(random_vec(rng, hd));
+            }
+            want_k.insert(want_k.end(), k.begin(), k.end());
+            want_v.insert(want_v.end(), v.begin(), v.end());
+            arena.append_quantized(seq, l, k, v);
+        }
+    };
+    const auto expect_entries = [&](std::size_t seq, std::size_t first,
+                                    std::size_t len) {
+        std::vector<float> got(len * hd);
+        for (std::size_t t = 0; t < len; ++t) {
+            for (std::size_t l = 0; l < c.n_layers; ++l) {
+                for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
+                    const quant::KvQuantized& wk = want_k[at(first + t, l, h)];
+                    const quant::KvQuantized& wv = want_v[at(first + t, l, h)];
+                    const quant::KvQuantized& gk = arena.key(seq, l, h, t);
+                    const quant::KvQuantized& gv = arena.value(seq, l, h, t);
+                    ASSERT_EQ(gk.codes, wk.codes) << "t" << t << " l" << l << " h" << h;
+                    ASSERT_EQ(gk.params.scale.bits(), wk.params.scale.bits());
+                    ASSERT_EQ(gk.params.zero, wk.params.zero);
+                    ASSERT_EQ(gv.codes, wv.codes);
+                    ASSERT_EQ(gv.params.scale.bits(), wv.params.scale.bits());
+                    ASSERT_EQ(gv.params.zero, wv.params.zero);
+                }
+            }
+        }
+        // The page-walking dequant reads the same entries.
+        for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
+            (void)arena.dequant_keys_into(seq, 1, h, len, got);
+            for (std::size_t t = 0; t < len; ++t) {
+                const quant::KvQuantized& w = want_k[at(first + t, 1, h)];
+                const std::vector<float> row = quant::kv_dequantize(w.codes, w.params);
+                for (std::size_t i = 0; i < hd; ++i) ASSERT_EQ(got[t * hd + i], row[i]);
+            }
+        }
+    };
+
+    const std::size_t n_tokens = 6;  // one full page + half of the second
+    for (std::size_t t = 0; t < n_tokens; ++t) append_token(donor);
+    expect_entries(donor, 0, n_tokens);
+
+    // An adopter maps both donor pages; its first append lands mid-page in
+    // the shared second page, so the arena copies that page first.
+    const std::size_t adopter = arena.create_sequence();
+    const std::vector<std::size_t> chain = arena.pool().block_table(donor);
+    arena.pool().adopt_pages(adopter, chain, n_tokens);
+    append_token(adopter);
+    EXPECT_EQ(arena.pool().cow_copies(), 1u);
+    EXPECT_EQ(arena.pool().block_table(adopter)[0], chain[0]);  // still shared
+    EXPECT_NE(arena.pool().block_table(adopter)[1], chain[1]);  // private copy
+    ASSERT_EQ(arena.length(adopter), n_tokens + 1);
+    expect_entries(adopter, 0, n_tokens);  // the copied history, verbatim
+    for (std::size_t l = 0; l < c.n_layers; ++l) {
+        for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
+            EXPECT_EQ(arena.key(adopter, l, h, n_tokens).codes,
+                      want_k[at(n_tokens, l, h)].codes);
+        }
+    }
+    // The donor never sees the adopter's write.
+    EXPECT_EQ(arena.length(donor), n_tokens);
+    expect_entries(donor, 0, n_tokens);
 }
 
 TEST(PagedKvArena, SequencesInterleaveWithoutCrosstalk) {

@@ -74,7 +74,7 @@ TEST(ReferenceEngine, RejectsBadToken) {
 
 TEST(ReferenceEngine, Kv8VariantStaysClose) {
     ReferenceEngine fp(micro_weights());
-    ReferenceEngine kv8(micro_weights(), /*use_kv8=*/true);
+    ReferenceEngine kv8(micro_weights(), EngineOptions{.use_kv8 = true});
     std::vector<float> lf, lq;
     for (const std::int32_t t : {1, 2, 3, 4, 5, 6}) {
         lf = fp.forward(t);
@@ -103,8 +103,8 @@ TEST(ReferenceEngine, W4VariantStaysClose) {
 TEST(ReferenceEngine, Kv4DegradesMoreThanKv8) {
     // The §IV.B argument: KV8 is near-transparent, KV4 measurably is not.
     ReferenceEngine golden(micro_weights());
-    ReferenceEngine kv8(micro_weights(), true, 8);
-    ReferenceEngine kv4(micro_weights(), true, 4);
+    ReferenceEngine kv8(micro_weights(), EngineOptions{.use_kv8 = true, .kv_bits = 8});
+    ReferenceEngine kv4(micro_weights(), EngineOptions{.use_kv8 = true, .kv_bits = 4});
     std::vector<float> lg, l8, l4;
     for (const std::int32_t t : {1, 2, 3, 4, 5, 6, 7, 8}) {
         lg = golden.forward(t);

@@ -142,49 +142,69 @@ TEST(ServePrefix, SharingDropsCapacityDeferralsUnderSameBudget) {
     // The satellite regression: a 9-page pool, 32-token prompt, 8 new tokens
     // (5-page worst case). Two concurrent sessions WITHOUT sharing need 10
     // pages — one must defer. WITH sharing the second session is discounted
-    // its 3 fully covered pages (the 4th, partially covered, stays charged to
-    // fund its CoW), so both fit: deferrals drop to zero on the same budget.
+    // its 3 fully covered pages (on the host the 4th, partially covered,
+    // stays charged to fund its CoW; the twin adopts full pages only), so
+    // both fit: deferrals drop to zero on the same budget. Both backends
+    // store KV in a pool of exactly the governor's 9 pages.
     const std::string sys = prompt_of(31);
-    std::size_t deferrals[2] = {0, 0};
-    std::vector<std::vector<std::int32_t>> tokens[2];
-    int which = 0;
-    for (const bool sharing : {false, true}) {
-        runtime::ServeDeployment d = deploy(sharing_opts(9, sharing));
-        (void)run_one(d, sys);  // warm the index (both configs for symmetry)
-        std::vector<runtime::RequestHandle> hs;
-        for (int r = 0; r < 2; ++r) {
-            hs.push_back(d.engine->submit(
-                runtime::ServeRequest{.prompt = sys, .max_new_tokens = 8}));
+    for (const engine::BackendKind kind :
+         {engine::BackendKind::kHost, engine::BackendKind::kAccel}) {
+        std::size_t deferrals[2] = {0, 0};
+        std::vector<std::vector<std::int32_t>> tokens[2];
+        int which = 0;
+        for (const bool sharing : {false, true}) {
+            ServeOptions o = sharing_opts(9, sharing);
+            o.backend = kind;
+            runtime::ServeDeployment d = deploy(o);
+            (void)run_one(d, sys);  // warm the index (both configs for symmetry)
+            std::vector<runtime::RequestHandle> hs;
+            for (int r = 0; r < 2; ++r) {
+                hs.push_back(d.engine->submit(
+                    runtime::ServeRequest{.prompt = sys, .max_new_tokens = 8}));
+            }
+            d.engine->run_until_idle();
+            for (auto& h : hs) tokens[which].push_back(h.get().tokens);
+            deferrals[which] = d.engine->stats().capacity_deferrals;
+            if (sharing) {
+                EXPECT_EQ(d.engine->stats().prefix_hits, 2u) << engine::to_string(kind);
+                // Truly concurrent.
+                EXPECT_EQ(d.engine->stats().peak_batch, 2u) << engine::to_string(kind);
+            }
+            ++which;
         }
-        d.engine->run_until_idle();
-        for (auto& h : hs) tokens[which].push_back(h.get().tokens);
-        deferrals[which] = d.engine->stats().capacity_deferrals;
-        if (sharing) {
-            EXPECT_EQ(d.engine->stats().prefix_hits, 2u);
-            EXPECT_EQ(d.engine->stats().peak_batch, 2u);  // truly concurrent
-        }
-        ++which;
+        // No sharing: the pool can't hold both.
+        EXPECT_GT(deferrals[0], 0u) << engine::to_string(kind);
+        // Sharing: both admitted outright.
+        EXPECT_EQ(deferrals[1], 0u) << engine::to_string(kind);
+        // And not by changing a single token.
+        EXPECT_EQ(tokens[0], tokens[1]) << engine::to_string(kind);
     }
-    EXPECT_GT(deferrals[0], 0u);  // no sharing: the pool can't hold both
-    EXPECT_EQ(deferrals[1], 0u);  // sharing: both admitted outright
-    EXPECT_EQ(tokens[0], tokens[1]);  // and not by changing a single token
 }
 
 TEST(ServePrefix, StarvedPoolDropsIndexInsteadOfRefusingWork) {
     // 6-page pool: serving one 24-token prompt leaves 3 pages pinned by the
     // index. A 40-token unique prompt then demands all 6 pages — with nothing
     // active, the engine must dump the cache and admit rather than starve.
-    runtime::ServeDeployment d = deploy(sharing_opts(6));
-    (void)run_one(d, prompt_of(23));
-    EXPECT_GT(d.engine->load().shared_pages, 0u);
+    // On the twin the pins are real pool pages too, so the drop is what
+    // lets the big prompt's appends find pages at all.
+    for (const engine::BackendKind kind :
+         {engine::BackendKind::kHost, engine::BackendKind::kAccel}) {
+        ServeOptions o = sharing_opts(6);
+        o.backend = kind;
+        runtime::ServeDeployment d = deploy(o);
+        (void)run_one(d, prompt_of(23));
+        EXPECT_GT(d.engine->load().shared_pages, 0u) << engine::to_string(kind);
 
-    const auto big = run_one(d, prompt_of(39, 'u'));
-    EXPECT_EQ(big.size(), 8u);
-    EXPECT_EQ(d.engine->stats().prefix_cache_drops, 1u);
-    EXPECT_EQ(d.engine->load().shared_pages, 0u);
+        const auto big = run_one(d, prompt_of(39, 'u'));
+        EXPECT_EQ(big.size(), 8u) << engine::to_string(kind);
+        EXPECT_EQ(d.engine->stats().prefix_cache_drops, 1u) << engine::to_string(kind);
+        EXPECT_EQ(d.engine->load().shared_pages, 0u) << engine::to_string(kind);
 
-    runtime::ServeDeployment solo = deploy(sharing_opts(6, /*sharing=*/false));
-    EXPECT_EQ(big, run_one(solo, prompt_of(39, 'u')));
+        ServeOptions solo_opts = sharing_opts(6, /*sharing=*/false);
+        solo_opts.backend = kind;
+        runtime::ServeDeployment solo = deploy(solo_opts);
+        EXPECT_EQ(big, run_one(solo, prompt_of(39, 'u'))) << engine::to_string(kind);
+    }
 }
 
 TEST(ServePrefix, MetricsNameTheWholeStory) {
