@@ -89,15 +89,16 @@ double run_once(const model::QuantizedModelWeights& qw, Mode mode,
         sampler->start();
     }
 
-    std::vector<std::future<serve::ServeResult>> futs;
-    futs.reserve(requests);
+    std::vector<serve::RequestHandle> handles;
+    handles.reserve(requests);
     for (std::size_t r = 0; r < requests; ++r) {
-        futs.push_back(eng.submit("overhead probe " + std::to_string(r), max_new));
+        handles.push_back(eng.submit(serve::Request{
+            .prompt = "overhead probe " + std::to_string(r), .max_new_tokens = max_new}));
     }
     const double cpu0 = thread_cpu_s();
     eng.run_until_idle();
     const double s = thread_cpu_s() - cpu0;
-    for (auto& f : futs) (void)f.get();
+    for (auto& h : handles) (void)h.get();
     if (sampler) sampler->stop();
     return static_cast<double>(eng.stats().generated_tokens) / s;
 }

@@ -91,10 +91,11 @@ BatchResult run_serve_opts(const model::QuantizedModelWeights& qw,
     opts.max_queue = requests;
     serve::ServeEngine eng(qw, opts);
 
-    std::vector<std::future<serve::ServeResult>> futs;
-    futs.reserve(requests);
+    std::vector<serve::RequestHandle> handles;
+    handles.reserve(requests);
     for (std::size_t r = 0; r < requests; ++r) {
-        futs.push_back(eng.submit(prompt_prefix + std::to_string(r), max_new));
+        handles.push_back(eng.submit(serve::Request{
+            .prompt = prompt_prefix + std::to_string(r), .max_new_tokens = max_new}));
     }
     const auto t0 = std::chrono::steady_clock::now();
     eng.run_until_idle();
@@ -115,7 +116,7 @@ BatchResult run_serve_opts(const model::QuantizedModelWeights& qw,
     if (ttft_it != res.metrics.histograms.end()) {
         res.ttft = obs::LatencySummary::from(ttft_it->second);
     }
-    for (auto& f : futs) res.tokens.push_back(f.get().tokens);
+    for (auto& h : handles) res.tokens.push_back(h.get().tokens);
     return res;
 }
 

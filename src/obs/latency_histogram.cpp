@@ -87,6 +87,42 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
     sum += other.sum;
 }
 
+void HistogramCell::record(std::uint64_t value) {
+    merge(HistogramCell{1, value, value, value,
+                        {{static_cast<std::uint32_t>(
+                              histogram_detail::bucket_index(value)),
+                          1}}});
+}
+
+void HistogramCell::merge(const HistogramCell& other) {
+    if (other.count == 0) return;
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = count == 0 ? other.max : std::max(max, other.max);
+    count += other.count;
+    sum += other.sum;
+    for (const auto& [i, n] : other.buckets) {
+        auto pos = std::find_if(buckets.begin(), buckets.end(),
+                                [i = i](const auto& b) { return b.first == i; });
+        if (pos == buckets.end()) {
+            buckets.emplace_back(i, n);
+        } else {
+            pos->second += n;
+        }
+    }
+}
+
+void HistogramCell::merge_into(HistogramSnapshot& out) const {
+    if (count == 0) return;
+    out.min = out.count == 0 ? min : std::min(out.min, min);
+    out.max = out.count == 0 ? max : std::max(out.max, max);
+    out.count += count;
+    out.sum += sum;
+    if (!buckets.empty() && out.buckets.empty()) {
+        out.buckets.assign(histogram_detail::kBucketCount, 0);
+    }
+    for (const auto& [i, n] : buckets) out.buckets[i] += n;
+}
+
 LatencySummary LatencySummary::from(const HistogramSnapshot& s) {
     LatencySummary out;
     out.count = s.count;

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace efld::obs {
@@ -75,6 +76,22 @@ struct HistogramSnapshot {
 
     // Accumulate another snapshot (cluster aggregation across shards).
     void merge(const HistogramSnapshot& other);
+};
+
+// One time bucket's share of a distribution, as a TimeRing cell: count, sum,
+// min/max and only the value buckets that were hit (sparse). A cell that
+// only counts events keeps no value buckets.
+struct HistogramCell {
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t min = 0;  // meaningful only when count > 0
+    std::uint64_t max = 0;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;  // (bucket, n)
+
+    void record(std::uint64_t value);
+    void merge(const HistogramCell& other);
+    // Adds this cell to a (dense) snapshot: a window query's accumulator.
+    void merge_into(HistogramSnapshot& out) const;
 };
 
 class LatencyHistogram {

@@ -1,118 +1,43 @@
 #include "obs/rolling_window.hpp"
 
-#include <algorithm>
-
 namespace efld::obs {
-
-void WindowSnapshot::merge(const WindowSnapshot& other) {
-    if (window_ns == 0) window_ns = other.window_ns;
-    if (other.count > 0) {
-        min = count == 0 ? other.min : std::min(min, other.min);
-        max = count == 0 ? other.max : std::max(max, other.max);
-    }
-    count += other.count;
-    sum += other.sum;
-    if (!other.buckets.empty()) {
-        if (buckets.empty()) {
-            buckets = other.buckets;
-        } else {
-            for (std::size_t i = 0;
-                 i < buckets.size() && i < other.buckets.size(); ++i) {
-                buckets[i] += other.buckets[i];
-            }
-        }
-    }
-}
-
-HistogramSnapshot WindowSnapshot::histogram() const {
-    HistogramSnapshot h;
-    h.count = count;
-    h.sum = sum;
-    h.min = min;
-    h.max = max;
-    h.buckets = buckets;
-    return h;
-}
-
-RollingWindow::RollingWindow() : RollingWindow(nullptr, Options()) {}
 
 RollingWindow::RollingWindow(const Clock* clock)
     : RollingWindow(clock, Options()) {}
 
 RollingWindow::RollingWindow(const Clock* clock, Options opts)
-    : clock_(clock ? clock : &steady_clock()),
-      opts_([&] {
-          Options o = opts;
-          if (o.bucket_ns == 0) o.bucket_ns = 1;
-          if (o.buckets == 0) o.buckets = 1;
-          return o;
-      }()),
-      ring_(opts_.buckets) {}
-
-RollingWindow::Bucket& RollingWindow::touch() {
-    const std::uint64_t cur = clock_->now_ns() / opts_.bucket_ns;
-    Bucket& b = ring_[cur % opts_.buckets];
-    if (b.index != cur) {
-        // The ring lapped this slot (or it was never used): recycle it.
-        b.index = cur;
-        b.count = 0;
-        b.sum = 0;
-        b.min = 0;
-        b.max = 0;
-        if (opts_.with_histogram) {
-            b.hist.assign(histogram_detail::kBucketCount, 0);
-        }
-    }
-    return b;
-}
+    : clock_(clock ? clock : &steady_clock()), ring_(opts.bucket_ns, opts.buckets) {}
 
 void RollingWindow::add(std::uint64_t n) {
     const std::lock_guard<std::mutex> lock(mu_);
-    touch().count += n;
+    ring_.at(clock_->now_ns()).count += n;
 }
 
 void RollingWindow::record(std::uint64_t value) {
     const std::lock_guard<std::mutex> lock(mu_);
-    Bucket& b = touch();
-    b.min = b.count == 0 ? value : std::min(b.min, value);
-    b.max = b.count == 0 ? value : std::max(b.max, value);
-    b.count += 1;
-    b.sum += value;
-    if (opts_.with_histogram) {
-        b.hist[histogram_detail::bucket_index(value)] += 1;
-    }
+    ring_.at(clock_->now_ns()).record(value);
 }
 
-WindowSnapshot RollingWindow::over(std::uint64_t window_ns) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    WindowSnapshot out;
-    std::uint64_t span = window_ns / opts_.bucket_ns;
-    if (span == 0) span = 1;
-    span = std::min<std::uint64_t>(span, opts_.buckets);
-    out.window_ns = span * opts_.bucket_ns;
-    const std::uint64_t cur = clock_->now_ns() / opts_.bucket_ns;
-    for (const Bucket& b : ring_) {
-        // In-window <=> index in (cur - span, cur]. Written addition-side
-        // to dodge unsigned underflow near t=0; kEmpty never qualifies.
-        if (b.index == kEmpty || b.index > cur || b.index + span <= cur) {
-            continue;
-        }
-        if (b.count > 0) {
-            out.min = out.count == 0 ? b.min : std::min(out.min, b.min);
-            out.max = out.count == 0 ? b.max : std::max(out.max, b.max);
-        }
-        out.count += b.count;
-        out.sum += b.sum;
-        if (!b.hist.empty()) {
-            if (out.buckets.empty()) {
-                out.buckets.assign(histogram_detail::kBucketCount, 0);
-            }
-            for (std::size_t i = 0; i < b.hist.size(); ++i) {
-                out.buckets[i] += b.hist[i];
-            }
-        }
-    }
+HistogramSnapshot RollingWindow::over_locked(std::uint64_t now_ns,
+                                             std::uint64_t span) const {
+    HistogramSnapshot out;
+    ring_.for_each(now_ns, span, [&out](std::uint64_t, const HistogramCell& c) {
+        c.merge_into(out);
+    });
     return out;
+}
+
+HistogramSnapshot RollingWindow::over(std::uint64_t window_ns) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return over_locked(clock_->now_ns(), ring_.span_of(window_ns));
+}
+
+double RollingWindow::rate_per_s(std::uint64_t window_ns) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const std::uint64_t now = clock_->now_ns();
+    const std::uint64_t span = ring_.span_of(window_ns);
+    return static_cast<double>(over_locked(now, span).count) * 1e9 /
+           static_cast<double>(ring_.covered_ns(now, span));
 }
 
 }  // namespace efld::obs

@@ -2,66 +2,41 @@
 //
 // Cumulative-since-start counters can't answer "what is the cluster doing
 // RIGHT NOW" — a burst an hour ago and a burst this second look the same.
-// A RollingWindow is a ring of fixed-width time buckets (default 64 x 1s):
-// record() lands in the bucket the clock says is current, recycling the slot
-// if the ring has lapped it, and over(window_ns) sums only the buckets whose
-// absolute index still falls inside the asked-for window — so idle gaps
-// expire naturally (a stale bucket's index is simply too old to qualify) and
-// a 60s window over a 64-bucket ring is exact.
+// A RollingWindow is a TimeRing of HistogramCells (default 64 x 1s) stamped
+// by its clock: add() and record() land in the current bucket, and over()
+// reads the trailing window, so idle gaps expire naturally and a 60s window
+// over a 64-bucket ring is exact. The ring decides which buckets are in the
+// window; this class only adds the clock and a lock.
 //
-// record() is mutex-guarded: windows track control-plane events (arrivals,
-// deferrals, tokens-per-step flushes, TTFTs), not per-token hot-path work,
-// so a lock keeps the wraparound logic obviously correct under TSan.
+// add() and record() are mutex-guarded: windows track control-plane events
+// (arrivals, deferrals, tokens-per-step flushes, TTFTs), not per-token
+// hot-path work, so a lock keeps the wraparound logic obviously correct
+// under TSan.
 //
-// WindowSnapshots are plain values that merge across shards — counts and
-// bucket arrays add — so the cluster's windowed rate is the sum of shard
-// rates and windowed quantiles come from the same log-bucket math as the
-// cumulative histograms.
+// A window query is a plain HistogramSnapshot. Shards aggregate through
+// MetricsSnapshot::merge: the engine exports windowed rates as gauges (which
+// add) and windowed TTFTs as histograms (whose buckets add).
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <vector>
 
 #include "obs/clock.hpp"
 #include "obs/latency_histogram.hpp"
+#include "obs/time_ring.hpp"
 
 namespace efld::obs {
-
-// Point-in-time view of one window. Merge across shards, then ask for the
-// rate or (when the source window records values) a HistogramSnapshot.
-struct WindowSnapshot {
-    std::uint64_t window_ns = 0;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t min = 0;  // meaningful only when count > 0
-    std::uint64_t max = 0;
-    std::vector<std::uint64_t> buckets;  // log-scale value buckets (optional)
-
-    [[nodiscard]] double rate_per_s() const noexcept {
-        return window_ns == 0 ? 0.0
-                              : static_cast<double>(count) * 1e9 /
-                                    static_cast<double>(window_ns);
-    }
-    void merge(const WindowSnapshot& other);
-    // Rebuild a HistogramSnapshot (for quantile() / exposition) from the
-    // windowed value buckets. Empty when the window tracks counts only.
-    [[nodiscard]] HistogramSnapshot histogram() const;
-};
 
 class RollingWindow {
 public:
     struct Options {
         std::uint64_t bucket_ns = 1'000'000'000;  // 1s buckets
         std::size_t buckets = 64;                 // ring span: 64s
-        // Track a per-bucket log-scale value histogram (for windowed
-        // quantiles) in addition to count/sum.
-        bool with_histogram = false;
     };
 
     // Overloads, not default arguments: a nested aggregate's member defaults
-    // cannot feed a default argument inside the enclosing class.
-    RollingWindow();
+    // cannot feed a default argument inside the enclosing class. A null
+    // clock means the process steady clock.
     explicit RollingWindow(const Clock* clock);
     RollingWindow(const Clock* clock, Options opts);
     RollingWindow(const RollingWindow&) = delete;
@@ -69,33 +44,25 @@ public:
 
     // Count an event (arrival, deferral, n tokens) in the current bucket.
     void add(std::uint64_t n = 1);
-    // Record a value (latency ns): count + sum + value bucket.
+    // Record a value (latency ns): count, sum, min/max and value bucket.
     void record(std::uint64_t value);
 
     // Everything recorded within the trailing `window_ns` (clamped to the
-    // ring's span). The current partially-filled bucket is included.
-    [[nodiscard]] WindowSnapshot over(std::uint64_t window_ns) const;
-
-    [[nodiscard]] const Options& options() const noexcept { return opts_; }
+    // ring's span). The current partially-filled bucket is included. The
+    // value buckets are empty when the window only counted events.
+    [[nodiscard]] HistogramSnapshot over(std::uint64_t window_ns) const;
+    // Events per second over the trailing window, divided by the time the
+    // window has actually covered (the current bucket counts only its
+    // elapsed part).
+    [[nodiscard]] double rate_per_s(std::uint64_t window_ns) const;
 
 private:
-    struct Bucket {
-        std::uint64_t index = kEmpty;  // absolute bucket number, or empty
-        std::uint64_t count = 0;
-        std::uint64_t sum = 0;
-        std::uint64_t min = 0;
-        std::uint64_t max = 0;
-        std::vector<std::uint64_t> hist;  // kBucketCount when histogramming
-    };
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-    // Returns the (recycled-if-stale) bucket for the clock's current time.
-    Bucket& touch();
+    [[nodiscard]] HistogramSnapshot over_locked(std::uint64_t now_ns,
+                                                std::uint64_t span) const;
 
     const Clock* clock_;
-    const Options opts_;
     mutable std::mutex mu_;
-    std::vector<Bucket> ring_;
+    TimeRing<HistogramCell> ring_;
 };
 
 }  // namespace efld::obs

@@ -16,20 +16,26 @@ void append_num(std::string& out, double v) {
     if (n > 0) out.append(buf, static_cast<std::size_t>(n));
 }
 
-// Sparse (bucket, count) view of a delta between two cumulative histogram
-// snapshots. A counter reset (count went backwards) restarts from the
-// current snapshot, mirroring the scalar counter rule.
-std::vector<std::pair<std::uint32_t, std::uint64_t>> sparse_delta(
-    const HistogramSnapshot& prev, const HistogramSnapshot& cur) {
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+// The sparse delta between two cumulative histogram snapshots. A counter
+// reset (count went backwards) restarts from the current snapshot,
+// mirroring the scalar counter rule. Count 0 when nothing new landed.
+HistogramCell histogram_delta(const HistogramSnapshot& prev,
+                              const HistogramSnapshot& cur) {
+    HistogramCell out;
     const bool reset = cur.count < prev.count;
-    const std::size_t n = cur.buckets.size();
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < cur.buckets.size(); ++i) {
         const std::uint64_t c = cur.buckets[i];
         const std::uint64_t p =
             (reset || i >= prev.buckets.size()) ? 0 : prev.buckets[i];
-        if (c > p) out.emplace_back(static_cast<std::uint32_t>(i), c - p);
+        if (c > p) out.buckets.emplace_back(static_cast<std::uint32_t>(i), c - p);
     }
+    if (out.buckets.empty()) return out;
+    out.count = reset ? cur.count : cur.count - prev.count;
+    out.sum = reset || cur.sum < prev.sum ? cur.sum : cur.sum - prev.sum;
+    // Delta min/max are unknowable from cumulative snapshots; the occupied
+    // bucket bounds bound them within the histogram's own error budget.
+    out.min = histogram_detail::bucket_lower(out.buckets.front().first);
+    out.max = histogram_detail::bucket_upper(out.buckets.back().first);
     return out;
 }
 
@@ -44,39 +50,17 @@ TimeSeriesStore::TimeSeriesStore(Options opts) : opts_(std::move(opts)) {
     }
 }
 
-TimeSeriesStore::ScalarSeries& TimeSeriesStore::scalar_series(
-    const std::string& name) {
-    ScalarSeries& s = scalars_[name];
-    if (s.rings.empty()) {
-        s.rings.resize(opts_.levels.size());
-        for (std::size_t i = 0; i < opts_.levels.size(); ++i) {
-            s.rings[i].resize(opts_.levels[i].slots);
+template <class Series>
+Series& TimeSeriesStore::series(std::map<std::string, Series>& all,
+                                const std::string& name) {
+    auto it = all.find(name);
+    if (it == all.end()) {
+        it = all.emplace(name, Series{}).first;
+        for (const Level& l : opts_.levels) {
+            it->second.rings.emplace_back(l.step_ns, l.slots);
         }
     }
-    return s;
-}
-
-TimeSeriesStore::HistSeries& TimeSeriesStore::hist_series(const std::string& name) {
-    HistSeries& s = hists_[name];
-    if (s.rings.empty()) {
-        s.rings.resize(opts_.levels.size());
-        for (std::size_t i = 0; i < opts_.levels.size(); ++i) {
-            s.rings[i].resize(opts_.levels[i].slots);
-        }
-    }
-    return s;
-}
-
-void TimeSeriesStore::push_scalar(ScalarSeries& s, std::uint64_t now_ns,
-                                  double value) {
-    for (std::size_t lvl = 0; lvl < opts_.levels.size(); ++lvl) {
-        const Level& level = opts_.levels[lvl];
-        const std::uint64_t idx = now_ns / level.step_ns;
-        ScalarBucket& b = s.rings[lvl][idx % level.slots];
-        if (b.index != idx) b = ScalarBucket{idx, 0.0, 0};
-        b.sum += value;
-        b.count += 1;
-    }
+    return it->second;
 }
 
 bool TimeSeriesStore::ingest(const MetricsSnapshot& snapshot, std::uint64_t now_ns) {
@@ -88,9 +72,14 @@ bool TimeSeriesStore::ingest(const MetricsSnapshot& snapshot, std::uint64_t now_
     const bool first = !has_ingested_;
     const std::uint64_t dt_ns = first ? 0 : now_ns - last_ingest_ns_;
 
-    for (const auto& [name, v] : snapshot.gauges) {
-        push_scalar(scalar_series(name), now_ns, v);
-    }
+    const auto push = [&](const std::string& name, double value) {
+        for (TimeRing<ScalarCell>& ring : series(scalars_, name).rings) {
+            ScalarCell& c = ring.at(now_ns);
+            c.sum += value;
+            c.count += 1;
+        }
+    };
+    for (const auto& [name, v] : snapshot.gauges) push(name, v);
     for (const auto& [name, v] : snapshot.counters) {
         auto it = counter_prev_.find(name);
         if (it == counter_prev_.end()) {
@@ -102,41 +91,15 @@ bool TimeSeriesStore::ingest(const MetricsSnapshot& snapshot, std::uint64_t now_
         it->second = v;
         if (dt_ns == 0) continue;
         const std::uint64_t delta = v >= prev ? v - prev : v;  // reset-safe
-        const double rate =
-            static_cast<double>(delta) * 1e9 / static_cast<double>(dt_ns);
-        push_scalar(scalar_series(name), now_ns, rate);
+        push(name, static_cast<double>(delta) * 1e9 / static_cast<double>(dt_ns));
     }
     for (const auto& [name, h] : snapshot.histograms) {
-        HistSeries& s = hist_series(name);
+        HistSeries& s = series(hists_, name);
         if (s.has_prev && dt_ns > 0) {
-            auto sparse = sparse_delta(s.prev, h);
-            if (!sparse.empty()) {
-                const bool reset = h.count < s.prev.count;
-                const std::uint64_t dcount =
-                    reset ? h.count : h.count - s.prev.count;
-                const std::uint64_t dsum = reset || h.sum < s.prev.sum
-                                               ? h.sum
-                                               : h.sum - s.prev.sum;
-                for (std::size_t lvl = 0; lvl < opts_.levels.size(); ++lvl) {
-                    const Level& level = opts_.levels[lvl];
-                    const std::uint64_t idx = now_ns / level.step_ns;
-                    HistBucket& b = s.rings[lvl][idx % level.slots];
-                    if (b.index != idx) {
-                        b = HistBucket{};
-                        b.index = idx;
-                    }
-                    b.count += dcount;
-                    b.sum += dsum;
-                    for (const auto& [bi, n] : sparse) {
-                        auto pos = std::find_if(
-                            b.sparse.begin(), b.sparse.end(),
-                            [bi = bi](const auto& p) { return p.first == bi; });
-                        if (pos == b.sparse.end()) {
-                            b.sparse.emplace_back(bi, n);
-                        } else {
-                            pos->second += n;
-                        }
-                    }
+            const HistogramCell delta = histogram_delta(s.prev, h);
+            if (delta.count > 0) {
+                for (TimeRing<HistogramCell>& ring : s.rings) {
+                    ring.at(now_ns).merge(delta);
                 }
             }
         }
@@ -164,26 +127,14 @@ std::size_t TimeSeriesStore::level_for(std::uint64_t from_ns,
 std::vector<SeriesPoint> TimeSeriesStore::collect(const ScalarSeries& s,
                                                   std::uint64_t from_ns,
                                                   std::uint64_t to_ns) const {
-    const std::size_t lvl = level_for(from_ns, last_ingest_ns_);
-    const Level& level = opts_.levels[lvl];
-    // Clamp to the level's retention: after a pause longer than a ring's
-    // span, slots no new ingest has landed on still physically hold their
-    // pre-pause data — logically expired, never served.
-    const std::uint64_t retention = level.step_ns * level.slots;
-    const std::uint64_t oldest =
-        last_ingest_ns_ > retention ? last_ingest_ns_ - retention : 0;
-    const std::uint64_t from = std::max(from_ns, oldest);
+    const TimeRing<ScalarCell>& ring = s.rings[level_for(from_ns, last_ingest_ns_)];
+    // Nothing is newer than the last ingest.
+    const std::uint64_t to = std::min(to_ns, last_ingest_ns_);
     std::vector<SeriesPoint> out;
-    for (const ScalarBucket& b : s.rings[lvl]) {
-        if (b.index == kEmpty || b.count == 0) continue;
-        const std::uint64_t t = b.index * level.step_ns;
-        if (t + level.step_ns <= from || t > to_ns) continue;
-        out.push_back({t, b.sum / static_cast<double>(b.count)});
-    }
-    std::sort(out.begin(), out.end(),
-              [](const SeriesPoint& a, const SeriesPoint& b) {
-                  return a.t_ns < b.t_ns;
-              });
+    ring.for_each(to, ring.span_between(from_ns, to),
+                  [&out](std::uint64_t t, const ScalarCell& c) {
+                      out.push_back({t, c.sum / static_cast<double>(c.count)});
+                  });
     return out;
 }
 
@@ -200,15 +151,13 @@ std::optional<SeriesPoint> TimeSeriesStore::latest(const std::string& name) cons
     std::lock_guard<std::mutex> lock(mu_);
     auto it = scalars_.find(name);
     if (it == scalars_.end()) return std::nullopt;
-    const Level& level = opts_.levels[0];
-    const ScalarBucket* best = nullptr;
-    for (const ScalarBucket& b : it->second.rings[0]) {
-        if (b.index == kEmpty || b.count == 0) continue;
-        if (best == nullptr || b.index > best->index) best = &b;
-    }
-    if (best == nullptr) return std::nullopt;
-    return SeriesPoint{best->index * level.step_ns,
-                       best->sum / static_cast<double>(best->count)};
+    const TimeRing<ScalarCell>& ring = it->second.rings[0];
+    std::optional<SeriesPoint> out;
+    ring.for_each(last_ingest_ns_, ring.slots(),
+                  [&out](std::uint64_t t, const ScalarCell& c) {
+                      out = SeriesPoint{t, c.sum / static_cast<double>(c.count)};
+                  });
+    return out;
 }
 
 HistogramSnapshot TimeSeriesStore::histogram_over(const std::string& name,
@@ -218,36 +167,12 @@ HistogramSnapshot TimeSeriesStore::histogram_over(const std::string& name,
     HistogramSnapshot out;
     auto it = hists_.find(name);
     if (it == hists_.end()) return out;
-    std::uint64_t from = now_ns > window_ns ? now_ns - window_ns : 0;
-    const std::size_t lvl = level_for(from, now_ns);
-    const Level& level = opts_.levels[lvl];
-    // Same stale-slot clamp as collect(): a pause past the ring's span must
-    // not resurrect pre-pause buckets into the window.
-    const std::uint64_t retention = level.step_ns * level.slots;
-    if (now_ns > retention) from = std::max(from, now_ns - retention);
-    out.buckets.assign(histogram_detail::kBucketCount, 0);
-    std::size_t lo = histogram_detail::kBucketCount;
-    std::size_t hi = 0;
-    for (const HistBucket& b : it->second.rings[lvl]) {
-        if (b.index == kEmpty || b.count == 0) continue;
-        const std::uint64_t t = b.index * level.step_ns;
-        if (t + level.step_ns <= from || t > now_ns) continue;
-        out.count += b.count;
-        out.sum += b.sum;
-        for (const auto& [bi, n] : b.sparse) {
-            out.buckets[bi] += n;
-            lo = std::min<std::size_t>(lo, bi);
-            hi = std::max<std::size_t>(hi, bi);
-        }
-    }
-    if (out.count == 0) {
-        out.buckets.clear();
-        return out;
-    }
-    // Delta min/max are unknowable from cumulative snapshots; the occupied
-    // bucket bounds bound them within the histogram's own error budget.
-    out.min = histogram_detail::bucket_lower(lo);
-    out.max = histogram_detail::bucket_upper(hi);
+    const std::uint64_t from = now_ns > window_ns ? now_ns - window_ns : 0;
+    const TimeRing<HistogramCell>& ring = it->second.rings[level_for(from, now_ns)];
+    ring.for_each(now_ns, ring.span_between(from, now_ns),
+                  [&out](std::uint64_t, const HistogramCell& c) {
+                      c.merge_into(out);
+                  });
     return out;
 }
 

@@ -4,31 +4,35 @@
 // burning the error budget" — those are questions about the last N minutes.
 // The TimeSeriesStore ingests whole MetricsSnapshots (one per sampler tick)
 // and retains every series at multiple resolutions simultaneously: each
-// ingest lands in the current bucket of EVERY level's ring (1s×120, 10s×360,
-// 60s×1440 by default), aggregating within coarse buckets as it goes — the
-// downsampling a lap would force happens eagerly at write time, so recycling
-// a fine slot never loses history the coarse rings still hold. Retention is
-// therefore 2 minutes at 1s grain, 1 hour at 10s, 24 hours at 60s, in a few
-// hundred KB.
+// ingest lands in the current bucket of EVERY level's TimeRing (1s×120,
+// 10s×360, 60s×1440 by default), aggregating within coarse buckets as it
+// goes — the downsampling a lap would force happens eagerly at write time, so
+// recycling a fine slot never loses history the coarse rings still hold.
+// Retention is therefore 2 minutes at 1s grain, 1 hour at 10s, 24 hours at
+// 60s, in a few hundred KB.
 //
-// What gets stored per snapshot kind:
+// The rings (obs/time_ring.hpp) own all bucket arithmetic: which slot a time
+// lands in, when a lapped slot is recycled, which buckets a window covers.
+// The store itself only names series, fans each ingest out over the levels
+// (and picks the level a query reads), turns cumulative values into
+// per-interval ones, and renders JSON:
 //   gauges    — the value, as-is.
 //   counters  — converted to a per-second RATE from the delta against the
 //               previous ingest (monotonic-reset safe: a counter that went
 //               backwards restarts from its new value). Queries over a
 //               counter series answer "events per second", not "total".
 //   histograms — the DELTA against the previous ingest's snapshot, stored as
-//               sparse (bucket, count) pairs. A range query can rebuild the
-//               interval's full HistogramSnapshot, so windowed quantiles and
-//               "fraction of samples above X" (the burn-rate engine's bad
-//               fraction) come from real per-interval data.
+//               a sparse HistogramCell. A range query rebuilds the interval's
+//               full HistogramSnapshot, so windowed quantiles and "fraction
+//               of samples above X" (the burn-rate engine's bad fraction)
+//               come from real per-interval data.
 //
 // Everything is driven by caller-passed timestamps from the injectable
 // obs::Clock — a backwards or frozen clock read makes ingest() a counted
-// no-op instead of corrupting ring indices, and every test runs the whole
-// subsystem on ManualClock. The MetricsSampler at the bottom is the
-// production driver: a background thread that snapshots a source and ingests
-// on a fixed interval; tests skip the thread and call sample_once().
+// no-op, and every test runs the whole subsystem on ManualClock. The
+// MetricsSampler at the bottom is the production driver: a background thread
+// that snapshots a source and ingests on a fixed interval; tests skip the
+// thread and call sample_once().
 #pragma once
 
 #include <atomic>
@@ -46,6 +50,7 @@
 #include "obs/clock.hpp"
 #include "obs/latency_histogram.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/time_ring.hpp"
 
 namespace efld::obs {
 
@@ -125,33 +130,22 @@ public:
                                         std::uint64_t now_ns) const;
 
 private:
-    struct ScalarBucket {
-        std::uint64_t index = kEmpty;  // absolute bucket number at its level
+    // Mean of the gauge values / counter rates ingested into one bucket.
+    struct ScalarCell {
         double sum = 0.0;
         std::uint64_t count = 0;
     };
-    struct HistBucket {
-        std::uint64_t index = kEmpty;
-        std::uint64_t count = 0;
-        std::uint64_t sum = 0;
-        std::uint64_t min = 0;
-        std::uint64_t max = 0;
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> sparse;  // (bucket, n)
-    };
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
     struct ScalarSeries {
-        std::vector<std::vector<ScalarBucket>> rings;  // one ring per level
+        std::vector<TimeRing<ScalarCell>> rings;  // one ring per level
     };
     struct HistSeries {
-        std::vector<std::vector<HistBucket>> rings;
+        std::vector<TimeRing<HistogramCell>> rings;
         HistogramSnapshot prev;  // last ingested cumulative snapshot
         bool has_prev = false;
     };
 
-    ScalarSeries& scalar_series(const std::string& name);
-    HistSeries& hist_series(const std::string& name);
-    void push_scalar(ScalarSeries& s, std::uint64_t now_ns, double value);
+    template <class Series>
+    Series& series(std::map<std::string, Series>& all, const std::string& name);
     // Level whose retention still covers from_ns (given now), finest first.
     [[nodiscard]] std::size_t level_for(std::uint64_t from_ns,
                                         std::uint64_t now_ns) const;

@@ -168,13 +168,11 @@ void ServeEngine::init() {
     hist_e2e_ = &metrics_.histogram("serve_e2e_ns");
     // Rolling windows are always on (they cost a mutexed bucket bump at
     // control-plane rate); the profiler costs are opt-in.
-    obs::RollingWindow::Options wopts;
-    win_arrivals_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
-    win_deferrals_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
-    win_failovers_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
-    win_tokens_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
-    wopts.with_histogram = true;
-    win_ttft_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
+    win_arrivals_ = std::make_unique<obs::RollingWindow>(clock_);
+    win_deferrals_ = std::make_unique<obs::RollingWindow>(clock_);
+    win_failovers_ = std::make_unique<obs::RollingWindow>(clock_);
+    win_tokens_ = std::make_unique<obs::RollingWindow>(clock_);
+    win_ttft_ = std::make_unique<obs::RollingWindow>(clock_);
     if (opts_.profile) {
         prof_.enable(clock_, opts_.shard_id, opts_.profiler_spans);
         prof_.bind_registry(metrics_);
@@ -271,25 +269,6 @@ RequestHandle ServeEngine::submit(Request req) {
         }
     }
     return RequestHandle(id, std::move(control), std::move(fut));
-}
-
-std::future<ServeResult> ServeEngine::submit(const std::string& prompt,
-                                             std::size_t max_new_tokens) {
-    PendingRequest p = make_pending(prompt, max_new_tokens, std::nullopt, nullptr);
-    const std::uint64_t id = p.id;
-    std::future<ServeResult> fut = p.promise.get_future();
-    if (max_new_tokens == 0) {
-        resolve_unstarted(std::move(p), Retire::kBudget);
-        return fut;
-    }
-    check(queue_.push(std::move(p)), "ServeEngine: request queue full");
-    if (failed()) {
-        for (PendingRequest& mine : queue_.remove_if(
-                 [id](const PendingRequest& r) { return r.id == id; })) {
-            resolve_lost(std::move(mine));
-        }
-    }
-    return fut;
 }
 
 void ServeEngine::admit() {
@@ -686,11 +665,10 @@ bool ServeEngine::step_locked() {
     // with kShedOverload (not kDeadline: the deadline has NOT passed yet;
     // the caller learns it was load-shed, the HTTP-503 of admission).
     if (opts_.overload != nullptr && opts_.overload->shed_hopeless()) {
-        const obs::WindowSnapshot w = win_ttft_->over(10'000'000'000ull);
+        const obs::HistogramSnapshot w = win_ttft_->over(10'000'000'000ull);
         if (w.count > 0) {
-            const double est_ns = static_cast<double>(w.sum) /
-                                  static_cast<double>(w.count) *
-                                  opts_.overload->options().hopeless_margin;
+            const double est_ns =
+                w.mean() * opts_.overload->options().hopeless_margin;
             const auto est = std::chrono::nanoseconds(
                 static_cast<std::int64_t>(est_ns));
             for (PendingRequest& doomed :
@@ -1087,18 +1065,16 @@ obs::MetricsSnapshot ServeEngine::metrics_snapshot() const {
                     {"60s", 60'000'000'000ull}};
     for (const auto& w : kWindows) {
         s.set_gauge(std::string("serve_arrivals_per_s_window_") + w.suffix,
-                    win_arrivals_->over(w.ns).rate_per_s());
+                    win_arrivals_->rate_per_s(w.ns));
         s.set_gauge(std::string("serve_deferrals_per_s_window_") + w.suffix,
-                    win_deferrals_->over(w.ns).rate_per_s());
+                    win_deferrals_->rate_per_s(w.ns));
         s.set_gauge(std::string("serve_failovers_per_s_window_") + w.suffix,
-                    win_failovers_->over(w.ns).rate_per_s());
+                    win_failovers_->rate_per_s(w.ns));
         s.set_gauge(std::string("serve_tokens_per_s_window_") + w.suffix,
-                    win_tokens_->over(w.ns).rate_per_s());
+                    win_tokens_->rate_per_s(w.ns));
     }
-    s.histograms["serve_ttft_ns_window_10s"] =
-        win_ttft_->over(10'000'000'000ull).histogram();
-    s.histograms["serve_ttft_ns_window_60s"] =
-        win_ttft_->over(60'000'000'000ull).histogram();
+    s.histograms["serve_ttft_ns_window_10s"] = win_ttft_->over(10'000'000'000ull);
+    s.histograms["serve_ttft_ns_window_60s"] = win_ttft_->over(60'000'000'000ull);
     return s;
 }
 

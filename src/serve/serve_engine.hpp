@@ -174,12 +174,6 @@ public:
     // Throws when the queue is full or the prompt exceeds the context window.
     RequestHandle submit(Request req);
 
-    // Legacy shim (pre-DecodeBackend API): submit(prompt, max_new) with a
-    // plain future and no streaming/cancellation. Equivalent to
-    // submit(Request{...}).future(), kept so existing call sites compile.
-    std::future<ServeResult> submit(const std::string& prompt,
-                                    std::size_t max_new_tokens);
-
     // One batched token step: retire cancelled/expired sessions, admit queued
     // requests into free slots (Scheduler order, gated by the capacity
     // governor when paging), advance every active session by one token

@@ -46,13 +46,14 @@ TEST(ClusterRouter, ServesAcrossShardsWithSingleEngineParity) {
     so.sampler.temperature = 0.0f;
     runtime::ServeDeployment single =
         runtime::synthetic_serve(model::ModelConfig::micro_256(), 42, so);
-    std::vector<std::future<runtime::ServeResult>> futs;
+    std::vector<runtime::RequestHandle> solo;
     for (int r = 0; r < 8; ++r) {
-        futs.push_back(single.engine->submit("cluster " + std::to_string(r), 6));
+        solo.push_back(single.engine->submit(runtime::ServeRequest{
+            .prompt = "cluster " + std::to_string(r), .max_new_tokens = 6}));
     }
     single.engine->run_until_idle();
     for (std::size_t r = 0; r < handles.size(); ++r) {
-        EXPECT_EQ(handles[r].get().tokens, futs[r].get().tokens) << "request " << r;
+        EXPECT_EQ(handles[r].get().tokens, solo[r].get().tokens) << "request " << r;
         EXPECT_EQ(handles[r].get().finish_reason, runtime::FinishReason::kBudget);
     }
 

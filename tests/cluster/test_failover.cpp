@@ -30,15 +30,16 @@ std::vector<std::vector<std::int32_t>> reference_tokens(
     so.sampler.temperature = 0.0f;
     runtime::ServeDeployment single =
         runtime::synthetic_serve(model::ModelConfig::micro_256(), 42, so);
-    std::vector<std::future<runtime::ServeResult>> futs;
-    futs.reserve(prompts.size());
+    std::vector<runtime::RequestHandle> solo;
+    solo.reserve(prompts.size());
     for (const std::string& p : prompts) {
-        futs.push_back(single.engine->submit(p, max_new));
+        solo.push_back(single.engine->submit(runtime::ServeRequest{
+            .prompt = p, .max_new_tokens = max_new}));
     }
     single.engine->run_until_idle();
     std::vector<std::vector<std::int32_t>> out;
-    out.reserve(futs.size());
-    for (auto& f : futs) out.push_back(f.get().tokens);
+    out.reserve(solo.size());
+    for (auto& h : solo) out.push_back(h.get().tokens);
     return out;
 }
 

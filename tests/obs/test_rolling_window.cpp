@@ -1,24 +1,52 @@
-// RollingWindow: bucket wraparound, idle-gap expiry, the trailing-window
-// query, cross-shard snapshot merge, windowed quantiles, and concurrent
-// recording — all under ManualClock so every boundary is exact.
+// RollingWindow over the shared TimeRing: bucket wraparound, idle-gap
+// expiry, the trailing-window query and its rate, cross-shard merge of
+// window snapshots, windowed quantiles, and concurrent recording — all under
+// ManualClock so every boundary is exact.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 #include <vector>
 
 #include "obs/clock.hpp"
 #include "obs/rolling_window.hpp"
+#include "obs/time_ring.hpp"
 
 namespace efld::obs {
 namespace {
 
-RollingWindow::Options small_opts(std::uint64_t bucket_ns, std::size_t buckets,
-                                  bool hist = false) {
+RollingWindow::Options small_opts(std::uint64_t bucket_ns, std::size_t buckets) {
     RollingWindow::Options o;
     o.bucket_ns = bucket_ns;
     o.buckets = buckets;
-    o.with_histogram = hist;
     return o;
+}
+
+TEST(TimeRing, WindowVisitsOnlyLiveIndicesOldestFirst) {
+    TimeRing<int> ring(100, 4);
+    for (std::uint64_t b = 0; b < 10; ++b) ring.at(b * 100) = static_cast<int>(b);
+    std::vector<std::uint64_t> starts;
+    std::vector<int> cells;
+    const auto collect = [&](std::uint64_t now, std::uint64_t span) {
+        starts.clear();
+        cells.clear();
+        ring.for_each(now, span, [&](std::uint64_t t, int c) {
+            starts.push_back(t);
+            cells.push_back(c);
+        });
+    };
+    collect(950, 10);  // span clamps to the 4 slots: buckets 6..9
+    EXPECT_EQ(starts, (std::vector<std::uint64_t>{600, 700, 800, 900}));
+    EXPECT_EQ(cells, (std::vector<int>{6, 7, 8, 9}));
+    collect(750, 2);  // buckets 8 and 9 lie in the future of t=750
+    EXPECT_EQ(cells, (std::vector<int>{6, 7}));
+    collect(1350, 4);  // buckets 10..13 were never written
+    EXPECT_TRUE(cells.empty());
+    EXPECT_EQ(ring.span_between(250, 950), 8u);
+    EXPECT_EQ(ring.span_between(950, 250), 0u);
+    EXPECT_EQ(ring.span_of(50), 1u);
+    EXPECT_EQ(ring.covered_ns(950, 2), 150u);
+    EXPECT_EQ(ring.covered_ns(900, 1), 1u);  // never zero
 }
 
 TEST(RollingWindow, CountsLandInTheCurrentBucketWindow) {
@@ -31,9 +59,30 @@ TEST(RollingWindow, CountsLandInTheCurrentBucketWindow) {
 
     // 1-bucket window: only the current bucket.
     EXPECT_EQ(win.over(100).count, 2u);
-    // 2-bucket window: both.
+    // 2-bucket window: both, over the 150ns it has covered so far (one
+    // whole bucket plus 50ns of the current one).
     EXPECT_EQ(win.over(200).count, 5u);
-    EXPECT_DOUBLE_EQ(win.over(200).rate_per_s(), 5.0 * 1e9 / 200.0);
+    EXPECT_DOUBLE_EQ(win.rate_per_s(200), 5.0 * 1e9 / 150.0);
+    // The value buckets stay empty when only counts were added.
+    EXPECT_TRUE(win.over(200).buckets.empty());
+}
+
+TEST(RollingWindow, RateDividesByTheTimeTheWindowCovered) {
+    // A steady 100 events/s (one every 10ms, mid-slot) on the default
+    // 64 x 1s ring reads 100/s at any point into the current second.
+    ManualClock clock;
+    RollingWindow win(&clock);
+    constexpr std::uint64_t kMs = 1'000'000;
+    std::uint64_t next = 5 * kMs;
+    for (const std::uint64_t ms : {10'050u, 10'250u, 10'500u, 10'990u}) {
+        for (; next <= ms * kMs; next += 10 * kMs) {
+            clock.set_ns(next);
+            win.add();
+        }
+        clock.set_ns(ms * kMs);
+        EXPECT_NEAR(win.rate_per_s(1'000'000'000), 100.0, 1e-9) << ms;
+        EXPECT_NEAR(win.rate_per_s(10'000'000'000), 100.0, 1e-9) << ms;
+    }
 }
 
 TEST(RollingWindow, RingWraparoundRecyclesLappedBuckets) {
@@ -74,11 +123,11 @@ TEST(RollingWindow, RecordTracksMinMaxSumPerWindow) {
     clock.set_ns(100);
     win.record(70);
 
-    const WindowSnapshot w1 = win.over(100);
+    const HistogramSnapshot w1 = win.over(100);
     EXPECT_EQ(w1.count, 1u);
     EXPECT_EQ(w1.min, 70u);
     EXPECT_EQ(w1.max, 70u);
-    const WindowSnapshot w2 = win.over(200);
+    const HistogramSnapshot w2 = win.over(200);
     EXPECT_EQ(w2.count, 3u);
     EXPECT_EQ(w2.sum, 120u);
     EXPECT_EQ(w2.min, 10u);
@@ -87,10 +136,10 @@ TEST(RollingWindow, RecordTracksMinMaxSumPerWindow) {
 
 TEST(RollingWindow, WindowedHistogramYieldsQuantiles) {
     ManualClock clock;
-    RollingWindow win(&clock, small_opts(1'000'000'000, 64, /*hist=*/true));
+    RollingWindow win(&clock, small_opts(1'000'000'000, 64));
     clock.set_ns(0);
     for (std::uint64_t v = 1; v <= 100; ++v) win.record(v * 1'000'000);
-    const HistogramSnapshot h = win.over(10'000'000'000).histogram();
+    const HistogramSnapshot h = win.over(10'000'000'000);
     EXPECT_EQ(h.count, 100u);
     // Log-bucket quantiles: p50 lands within a bucket width of 50ms.
     const std::uint64_t p50 = h.quantile(0.5);
@@ -100,24 +149,25 @@ TEST(RollingWindow, WindowedHistogramYieldsQuantiles) {
 
 TEST(RollingWindow, SnapshotsMergeAcrossShards) {
     ManualClock clock;
-    RollingWindow a(&clock, small_opts(100, 8, true));
-    RollingWindow b(&clock, small_opts(100, 8, true));
+    RollingWindow a(&clock, small_opts(100, 8));
+    RollingWindow b(&clock, small_opts(100, 8));
     clock.set_ns(50);
     a.record(10);
     a.record(30);
     b.record(200);
 
-    WindowSnapshot merged = a.over(100);
+    HistogramSnapshot merged = a.over(100);
     merged.merge(b.over(100));
     EXPECT_EQ(merged.count, 3u);
     EXPECT_EQ(merged.sum, 240u);
     EXPECT_EQ(merged.min, 10u);
     EXPECT_EQ(merged.max, 200u);
-    EXPECT_DOUBLE_EQ(merged.rate_per_s(), 3.0 * 1e9 / 100.0);
-    EXPECT_EQ(merged.histogram().count, 3u);
+    std::uint64_t in_buckets = 0;
+    for (const std::uint64_t n : merged.buckets) in_buckets += n;
+    EXPECT_EQ(in_buckets, 3u);  // the value buckets merged too
 
     // Merging an empty shard changes nothing.
-    RollingWindow idle(&clock, small_opts(100, 8, true));
+    RollingWindow idle(&clock, small_opts(100, 8));
     merged.merge(idle.over(100));
     EXPECT_EQ(merged.count, 3u);
     EXPECT_EQ(merged.min, 10u);
@@ -184,7 +234,9 @@ TEST(RollingWindow, ZeroOptionsClampSafely) {
     RollingWindow win(&clock, small_opts(0, 0));
     win.add();
     EXPECT_EQ(win.over(0).count, 1u);
-    EXPECT_GT(win.over(0).window_ns, 0u);
+    const double rate = win.rate_per_s(0);
+    EXPECT_TRUE(std::isfinite(rate));
+    EXPECT_GT(rate, 0.0);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST(ServeOverload, EngagedGovernorShedsDeadlineHopelessQueuedRequests) {
 
     // Warm up: one completed request seeds the 10s TTFT window the sweep
     // estimates from (no observation → no shedding).
-    auto warm = d.engine->submit("warmup", 2);
+    auto warm = d.engine->submit(Request{.prompt = "warmup", .max_new_tokens = 2});
     d.engine->run_until_idle();
     (void)warm.get();
 
@@ -140,7 +140,7 @@ TEST(ServeOverload, DisengagedGovernorNeverSheds) {
     opts.overload = governor;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
 
-    auto warm = d.engine->submit("warmup", 2);
+    auto warm = d.engine->submit(Request{.prompt = "warmup", .max_new_tokens = 2});
     d.engine->run_until_idle();
     (void)warm.get();
     // Same hopeless shape as above — but no firing alert, so they decode.
