@@ -18,11 +18,19 @@
 // walking every projection of tiny-512 at batch 1/2/4/8, in µs per walk and
 // streamed weight GB/s.
 //
+// A twin table follows: the KV260 twin's VPU lane kernel (accel::DotEngine)
+// as the vector kernel (AVX2 + F16C) vs the scalar reference, both in this
+// binary — one DotEngine::gemv walk over every micro-256 projection, and
+// Accelerator::decode_batch wall tokens/s at batch 4 — over interleaved
+// rounds; the ratios are medians of per-round ratios. The two kernels must
+// produce bit-identical logits (nonzero exit otherwise).
+//
 // `--json [path]` additionally emits a BENCH_host_decode.json perf record so
 // the throughput trajectory is trackable across PRs. `--min-speedup X` exits
-// nonzero when the fused-1t ÷ seed ratio falls below X — the ratio of two
-// paths timed in the same process, so it holds still when absolute token/s
-// swings with the host.
+// nonzero when the fused-1t ÷ seed ratio falls below X, `--min-twin-speedup Y`
+// when the twin's vector ÷ scalar decode ratio falls below Y — each the ratio
+// of two paths timed in the same process, so it holds still when absolute
+// token/s swings with the host.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -33,7 +41,10 @@
 #include <thread>
 #include <vector>
 
+#include "accel/accelerator.hpp"
 #include "accel/cycle_model.hpp"
+#include "accel/packed_model.hpp"
+#include "accel/vpu.hpp"
 #include "model/reference_engine.hpp"
 #include "model/weights.hpp"
 #include "quant/groupquant.hpp"
@@ -138,6 +149,72 @@ std::vector<KernelRow> kernel_table(const model::QuantizedModelWeights& qw) {
     return rows;
 }
 
+// µs for one accel::DotEngine::gemv walk over every projection of the
+// packed model (each matrix once, lm_head included), median of 5 walks.
+double twin_gemv_walk_us(const accel::PackedModel& pm) {
+    std::vector<const accel::PackedMatrix*> mats;
+    for (const auto& l : pm.layers) {
+        for (const auto* m : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down}) {
+            mats.push_back(m);
+        }
+    }
+    mats.push_back(&pm.lm_head);
+    std::size_t max_in = 0, max_out = 0;
+    for (const auto* m : mats) {
+        max_in = std::max(max_in, m->cols);
+        max_out = std::max(max_out, m->rows);
+    }
+    std::vector<Fp16> x(max_in), y(max_out);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = Fp16::from_float(std::sin(static_cast<float>(i) * 0.37f));
+    }
+    std::vector<double> walks;
+    for (int i = 0; i < 6; ++i) {  // 1 warm-up walk
+        const auto t0 = std::chrono::steady_clock::now();
+        for (const auto* m : mats) {
+            accel::DotEngine::gemv(m->stream, m->rows, m->cols,
+                                   std::span<const Fp16>(x.data(), m->cols),
+                                   std::span<Fp16>(y.data(), m->rows));
+        }
+        const std::chrono::duration<double, std::micro> dt =
+            std::chrono::steady_clock::now() - t0;
+        if (i >= 1) walks.push_back(dt.count());
+    }
+    return median(walks);
+}
+
+// The twin serving a batch: `batch` sessions prefilled with 4 tokens each,
+// then `steps` timed decode_batch steps with greedy next tokens.
+RunResult run_twin_decode(const accel::PackedModel& pm, std::size_t batch, std::size_t steps) {
+    accel::AcceleratorOptions o;
+    o.max_batch = batch;
+    accel::Accelerator acc(pm, o);
+    const std::size_t vocab = pm.config.vocab_size;
+    std::vector<std::size_t> slots(batch);
+    std::vector<std::int32_t> tokens(batch);
+    for (std::size_t b = 0; b < batch; ++b) {
+        slots[b] = acc.reserve_slot();
+        tokens[b] = static_cast<std::int32_t>(1 + 7 * b);
+    }
+    std::vector<float> logits(batch * vocab);
+    double checksum = 0.0;
+    constexpr std::size_t kPrefill = 4;
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t step = 0; step < kPrefill + steps; ++step) {
+        if (step == kPrefill) t0 = std::chrono::steady_clock::now();
+        acc.decode_batch(tokens, slots, logits);
+        for (std::size_t b = 0; b < batch; ++b) {
+            const auto row = logits.begin() + static_cast<std::ptrdiff_t>(b * vocab);
+            tokens[b] = static_cast<std::int32_t>(
+                std::max_element(row, row + static_cast<std::ptrdiff_t>(vocab)) - row);
+            checksum += static_cast<double>(*row);
+        }
+    }
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    return RunResult{static_cast<double>(batch * steps) / s, checksum};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,6 +223,7 @@ int main(int argc, char** argv) {
     std::size_t prefill_tokens = 8;
     const std::size_t rounds = 7;
     double min_speedup = 0.0;
+    double min_twin_speedup = 0.0;
     bool emit_json = false;
     std::string json_path = "BENCH_host_decode.json";
     for (int i = 1; i < argc; ++i) {
@@ -155,13 +233,15 @@ int main(int argc, char** argv) {
             decode_tokens = std::max<std::size_t>(1, std::stoul(argv[++i]));
         } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
             min_speedup = std::stod(argv[++i]);
+        } else if (std::strcmp(argv[i], "--min-twin-speedup") == 0 && i + 1 < argc) {
+            min_twin_speedup = std::stod(argv[++i]);
         } else if (std::strcmp(argv[i], "--json") == 0) {
             emit_json = true;
             if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
         } else {
             std::fprintf(stderr,
                          "usage: %s [--model micro|tiny] [--tokens N] [--min-speedup X] "
-                         "[--json [path]]\n",
+                         "[--min-twin-speedup Y] [--json [path]]\n",
                          argv[0]);
             return 2;
         }
@@ -240,6 +320,42 @@ int main(int argc, char** argv) {
         std::printf("%-12s | %5zu | %10.1f | %8.2f\n", k.kernel, k.batch, k.us, k.gbps);
     }
 
+    // The twin's lane kernels on micro-256, one round = both kernels once.
+    const accel::PackedModel pm = accel::PackedModel::build(model::QuantizedModelWeights::quantize(
+        model::ModelWeights::synthetic(model::ModelConfig::micro_256(), 42),
+        quant::GroupQuantConfig{}));
+    constexpr std::size_t kTwinBatch = 4, kTwinSteps = 8;
+    const bool has_vector = accel::vector_kernel_supported();
+    std::vector<double> gemv_runs[2], twin_runs[2], gemv_ratios, twin_ratios;
+    bool twin_diverged = false;
+    for (std::size_t round = 0; round < rounds; ++round) {
+        RunResult twin[2];
+        for (const accel::LaneKernel k : {accel::LaneKernel::kScalar, accel::LaneKernel::kVector}) {
+            const accel::ScopedLaneKernel pin(k);
+            const auto i = static_cast<std::size_t>(k);
+            gemv_runs[i].push_back(twin_gemv_walk_us(pm));
+            twin[i] = run_twin_decode(pm, kTwinBatch, kTwinSteps);
+            twin_runs[i].push_back(twin[i].tokens_per_s);
+        }
+        gemv_ratios.push_back(gemv_runs[0].back() / gemv_runs[1].back());
+        twin_ratios.push_back(twin[1].tokens_per_s / twin[0].tokens_per_s);
+        twin_diverged = twin_diverged || twin[0].logit_checksum != twin[1].logit_checksum;
+    }
+    const double twin_gemv_us[2] = {median(gemv_runs[0]), median(gemv_runs[1])};
+    const double twin_tok_s[2] = {median(twin_runs[0]), median(twin_runs[1])};
+    const double twin_gemv_speedup = median(gemv_ratios);
+    const double twin_speedup = median(twin_ratios);
+    std::printf("\ntwin (micro-256): VPU lane kernel, vector vs scalar reference "
+                "(median of %zu interleaved rounds)%s\n",
+                rounds, has_vector ? "" : " — no AVX2/F16C: both rows run scalar");
+    std::printf("%-28s | %10s | %10s | %8s\n", "measure", "scalar", "vector", "speedup");
+    std::printf("-----------------------------------------------------------------\n");
+    std::printf("%-28s | %10.1f | %10.1f | %7.2fx\n", "gemv walk, us", twin_gemv_us[0],
+                twin_gemv_us[1], twin_gemv_speedup);
+    std::printf("%-28s | %10.2f | %10.2f | %7.2fx\n", "decode_batch b4, wall tok/s",
+                twin_tok_s[0], twin_tok_s[1], twin_speedup);
+    if (twin_diverged) std::printf("  FAIL: vector-kernel logits differ from the scalar reference!\n");
+
     // The simulated KV260 rate the host baseline is measured against.
     accel::DecodeCycleModel sim(cfg, model::QuantScheme::w4a16_kv8(), accel::AccelConfig{});
     const double sim_tok_s =
@@ -263,6 +379,14 @@ int main(int argc, char** argv) {
             << "  \"fused_4t_tok_s\": " << threaded[1] << ",\n"
             << "  \"speedup_1t\": " << speedup_1t << ",\n"
             << "  \"simulated_tok_s\": " << sim_tok_s << ",\n"
+            << "  \"twin\": {\"model\": \"micro-256\", \"batch\": " << kTwinBatch
+            << ", \"vector_kernel\": " << (has_vector ? "true" : "false")
+            << ", \"gemv_walk_scalar_us\": " << twin_gemv_us[0]
+            << ", \"gemv_walk_vector_us\": " << twin_gemv_us[1]
+            << ", \"gemv_speedup\": " << twin_gemv_speedup
+            << ", \"decode_scalar_tok_s\": " << twin_tok_s[0]
+            << ", \"decode_vector_tok_s\": " << twin_tok_s[1]
+            << ", \"decode_speedup\": " << twin_speedup << "},\n"
             << "  \"kernels\": [\n";
         for (std::size_t i = 0; i < kernels.size(); ++i) {
             const KernelRow& k = kernels[i];
@@ -274,10 +398,17 @@ int main(int argc, char** argv) {
             << "}\n";
         std::printf("\nwrote %s\n", json_path.c_str());
     }
+    int status = 0;
     if (speedup_1t < min_speedup) {
         std::printf("\nFAIL: fused-1t / seed ratio %.2fx is below --min-speedup %.2fx\n",
                     speedup_1t, min_speedup);
-        return 1;
+        status = 1;
     }
-    return 0;
+    if (twin_speedup < min_twin_speedup) {
+        std::printf("\nFAIL: twin vector / scalar ratio %.2fx is below --min-twin-speedup %.2fx\n",
+                    twin_speedup, min_twin_speedup);
+        status = 1;
+    }
+    if (twin_diverged) status = 1;
+    return status;
 }

@@ -1,5 +1,14 @@
 // Micro-kernel benchmarks (google-benchmark): the simulator's own hot paths.
+//
+// `--full-fp16-sweep` instead checks Fp16::from_float against the software
+// reference float_to_half_bits on all 2^32 float bit patterns (ctest checks a
+// strided sample) and exits nonzero on any mismatch.
 #include <benchmark/benchmark.h>
+
+#include <bit>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
 
 #include "accel/hw_exp.hpp"
 #include "accel/spu_rope.hpp"
@@ -35,6 +44,19 @@ void BM_Fp16Conversion(benchmark::State& state) {
 }
 BENCHMARK(BM_Fp16Conversion);
 
+void BM_Fp16FromFloat(benchmark::State& state) {
+    Xoshiro256 rng(1);
+    std::vector<float> xs(1024);
+    for (auto& x : xs) x = static_cast<float>(rng.gaussian());
+    for (auto _ : state) {
+        for (const float x : xs) {
+            benchmark::DoNotOptimize(Fp16::from_float(x));
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_Fp16FromFloat);
+
 void BM_Dot128(benchmark::State& state) {
     const auto a = random_halfs(128, 2);
     const auto b = random_halfs(128, 3);
@@ -55,13 +77,18 @@ void BM_PackedGemv(benchmark::State& state) {
     const auto stream = quant::pack_weight_stream(q);
     const auto x = random_halfs(cols, 5);
     std::vector<Fp16> y(rows);
+    const accel::ScopedLaneKernel pin(state.range(1) != 0 ? accel::LaneKernel::kVector
+                                                         : accel::LaneKernel::kScalar);
+    state.SetLabel(accel::active_lane_kernel() == accel::LaneKernel::kVector ? "vector"
+                                                                             : "scalar");
     for (auto _ : state) {
         accel::DotEngine::gemv(stream, rows, cols, x, y);
         benchmark::DoNotOptimize(y.data());
     }
     state.SetItemsProcessed(state.iterations() * rows * cols);
 }
-BENCHMARK(BM_PackedGemv)->Arg(16)->Arg(64)->Arg(256);
+// Second argument: 0 = scalar reference lane kernel, 1 = vector kernel.
+BENCHMARK(BM_PackedGemv)->ArgsProduct({{16, 64, 256}, {0, 1}});
 
 void BM_WeightPack(benchmark::State& state) {
     Xoshiro256 rng(6);
@@ -131,6 +158,30 @@ void BM_MemorySystemSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_MemorySystemSequential)->Arg(1)->Arg(16)->Arg(128);
 
+int full_fp16_sweep() {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t b = 0; b <= 0xFFFF'FFFFull; ++b) {
+        const float f = std::bit_cast<float>(static_cast<std::uint32_t>(b));
+        if (Fp16::from_float(f).bits() != float_to_half_bits(f) && mismatches++ < 8) {
+            std::printf("mismatch: float bits 0x%08llx\n", static_cast<unsigned long long>(b));
+        }
+    }
+    const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
+    std::printf("float->half over all 2^32 floats: %llu mismatches (%.1f s)\n",
+                static_cast<unsigned long long>(mismatches), dt.count());
+    return mismatches == 0 ? 0 : 1;
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--full-fp16-sweep") == 0) return full_fp16_sweep();
+    }
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

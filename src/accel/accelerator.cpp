@@ -150,20 +150,21 @@ void Accelerator::attention(std::size_t layer, std::size_t slot, std::vector<Fp1
     const Fp16 inv_sqrt_d = Fp16::from_float(1.0f / std::sqrt(static_cast<float>(hd)));
     std::vector<Fp16> att_out(cfg.dim);
     std::vector<Fp16> scores(pos + 1);
+    std::vector<Fp16> probs(pos + 1);
+    std::vector<Fp16> row(hd);  // one dequantized K or V history row
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
         const std::size_t kvh = h / heads_per_kv;
         const std::span<const Fp16> qh(q.data() + h * hd, hd);
 
         for (std::size_t t = 0; t < pos; ++t) {
             const quant::KvQuantized& e = kv_.key(slot, layer, kvh, t);
-            const std::vector<Fp16> kt = DequantUnit::run_kv(e.codes, e.params);
-            scores[t] = DotEngine::dot(qh, kt) * inv_sqrt_d;
+            DequantUnit::run_kv(e.codes, e.params, row);
+            scores[t] = DotEngine::dot(qh, row) * inv_sqrt_d;
         }
         scores[pos] =
             DotEngine::dot(qh, std::span<const Fp16>(k).subspan(kvh * hd, hd)) *
             inv_sqrt_d;
 
-        std::vector<Fp16> probs(pos + 1);
         softmax_.run(scores, probs);
 
         // Scaled-dot accumulation of values (fp16 MACs, one value row at a
@@ -172,8 +173,8 @@ void Accelerator::attention(std::size_t layer, std::size_t slot, std::vector<Fp1
         for (auto& o : out) o = Fp16::zero();
         for (std::size_t t = 0; t < pos; ++t) {
             const quant::KvQuantized& e = kv_.value(slot, layer, kvh, t);
-            const std::vector<Fp16> vt = DequantUnit::run_kv(e.codes, e.params);
-            for (std::size_t i = 0; i < hd; ++i) out[i] = out[i] + probs[t] * vt[i];
+            DequantUnit::run_kv(e.codes, e.params, row);
+            for (std::size_t i = 0; i < hd; ++i) out[i] = out[i] + probs[t] * row[i];
         }
         for (std::size_t i = 0; i < hd; ++i) {
             out[i] = out[i] + probs[pos] * v[kvh * hd + i];

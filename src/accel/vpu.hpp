@@ -8,6 +8,18 @@
 // multipliers, a binary adder tree, a scaling multiplier and an accumulator.
 // All arithmetic is correctly rounded fp16, so results are bit-comparable to
 // an RTL FP16 datapath with the same reduction order.
+//
+// How it executes: every lane op is "float32 op, round to half" (see
+// common/fp16.hpp), so the lanes run as float32 SIMD with a vcvtps2ph /
+// vcvtph2ps round trip after each multiply and each adder-tree node. On
+// x86-64 CPUs with AVX2 + F16C (checked once at run time; the kernel is
+// compiled for that target even in portable builds) DotEngine processes 8
+// lanes per instruction: dequant (code - zero)·scale -> round -> ·x -> round,
+// then each tree stage as pairwise adds (hadd + permute keeps the pair order)
+// rounded per node. Elsewhere the scalar Fp16 loop runs. Rounding the same
+// float32 results at the same nodes gives the same bits, and the scalar loop
+// stays in the binary as the reference that tests and bench_host_decode
+// compare the vector kernel against.
 #pragma once
 
 #include <array>
@@ -33,9 +45,34 @@ public:
     [[nodiscard]] static std::array<Fp16, kVpuLanes> run(
         std::span<const std::uint8_t> codes, Fp16 scale, std::uint8_t zero) noexcept;
 
-    // KV8 variant: 64 codes per word (8-bit lanes); `count` trims the tail.
-    [[nodiscard]] static std::vector<Fp16> run_kv(std::span<const std::uint8_t> codes,
-                                                  quant::KvQuantParams params);
+    // KV8 variant: one fp16 per 8-bit code, written to out[0, codes.size()).
+    static void run_kv(std::span<const std::uint8_t> codes, quant::KvQuantParams params,
+                       std::span<Fp16> out) noexcept;
+};
+
+// Which implementation executes DotEngine's lane arithmetic. Both give the
+// same bits; kScalar is the reference.
+enum class LaneKernel : std::uint8_t { kScalar, kVector };
+
+// True when this CPU runs the vector kernel (x86-64 with AVX2 and F16C).
+[[nodiscard]] bool vector_kernel_supported() noexcept;
+
+// The kernel DotEngine uses: kVector when supported, unless a
+// ScopedLaneKernel pins another one.
+[[nodiscard]] LaneKernel active_lane_kernel() noexcept;
+
+// Pins the process-wide lane kernel for its lifetime, so the scalar reference
+// and the vector kernel can be compared and timed in one binary. Pinning
+// kVector on a CPU without AVX2/F16C pins kScalar.
+class ScopedLaneKernel {
+public:
+    explicit ScopedLaneKernel(LaneKernel k) noexcept;
+    ~ScopedLaneKernel();
+    ScopedLaneKernel(const ScopedLaneKernel&) = delete;
+    ScopedLaneKernel& operator=(const ScopedLaneKernel&) = delete;
+
+private:
+    int prev_;
 };
 
 class DotEngine {

@@ -2,11 +2,6 @@
 
 namespace efld {
 
-std::uint8_t Word512::nibble(std::size_t i) const noexcept {
-    const std::uint64_t lane = lanes[i / 16];
-    return static_cast<std::uint8_t>((lane >> ((i % 16) * 4)) & 0xFu);
-}
-
 void Word512::set_nibble(std::size_t i, std::uint8_t v) noexcept {
     std::uint64_t& lane = lanes[i / 16];
     const unsigned shift = static_cast<unsigned>((i % 16) * 4);
@@ -21,10 +16,6 @@ void Word512::set_byte(std::size_t i, std::uint8_t v) noexcept {
     std::uint64_t& lane = lanes[i / 8];
     const unsigned shift = static_cast<unsigned>((i % 8) * 8);
     lane = (lane & ~(0xFFull << shift)) | (static_cast<std::uint64_t>(v) << shift);
-}
-
-std::uint16_t Word512::half_bits(std::size_t i) const noexcept {
-    return static_cast<std::uint16_t>((lanes[i / 4] >> ((i % 4) * 16)) & 0xFFFFu);
 }
 
 void Word512::set_half_bits(std::size_t i, std::uint16_t v) noexcept {

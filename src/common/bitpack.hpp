@@ -27,7 +27,9 @@ struct Word512 {
     [[nodiscard]] bool operator==(const Word512&) const = default;
 
     // u4 lanes ------------------------------------------------------------
-    [[nodiscard]] std::uint8_t nibble(std::size_t i) const noexcept;
+    [[nodiscard]] std::uint8_t nibble(std::size_t i) const noexcept {
+        return static_cast<std::uint8_t>((lanes[i / 16] >> ((i % 16) * 4)) & 0xFu);
+    }
     void set_nibble(std::size_t i, std::uint8_t v) noexcept;
 
     // u8 lanes ------------------------------------------------------------
@@ -35,7 +37,9 @@ struct Word512 {
     void set_byte(std::size_t i, std::uint8_t v) noexcept;
 
     // u16 lanes (used for fp16 scales) -------------------------------------
-    [[nodiscard]] std::uint16_t half_bits(std::size_t i) const noexcept;
+    [[nodiscard]] std::uint16_t half_bits(std::size_t i) const noexcept {
+        return static_cast<std::uint16_t>((lanes[i / 4] >> ((i % 4) * 16)) & 0xFFFFu);
+    }
     void set_half_bits(std::size_t i, std::uint16_t v) noexcept;
 
     [[nodiscard]] Fp16 half(std::size_t i) const noexcept {

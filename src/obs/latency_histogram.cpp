@@ -51,6 +51,11 @@ std::uint64_t HistogramSnapshot::quantile(double q) const {
     // Rank of the target observation, 1-based.
     const std::uint64_t rank = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(q * static_cast<double>(count) + 0.5));
+    // The first and last observations are known exactly; interpolating
+    // inside their buckets would only blur them (a lone sample sits at the
+    // bucket's midpoint).
+    if (rank >= count) return max;
+    if (rank == 1) return min;
     std::uint64_t seen = 0;
     for (std::size_t i = 0; i < buckets.size(); ++i) {
         const std::uint64_t n = buckets[i];

@@ -113,15 +113,30 @@ QuantizedLinear unpack_weight_stream(std::span<const Word512> words, std::size_t
                                        std::move(zeros), rows, cols, cfg);
 }
 
-WeightStreamDecoder::WeightStreamDecoder(std::size_t num_groups)
-    : num_groups_(num_groups), schedule_(stream_schedule(num_groups)) {}
+namespace {
 
-WordKind WeightStreamDecoder::expected_kind() const {
-    check(cursor_ < schedule_.size(), "WeightStreamDecoder: stream already complete");
-    return schedule_[cursor_];
+// Kind of the word at `index` in any stream. Every chunk has the layout
+// [Z] ([S] [W x32]) x4, and a partial final chunk is a prefix of it, so the
+// position inside a 133-word chunk decides the kind.
+WordKind word_kind_at(std::size_t index) noexcept {
+    constexpr std::size_t kBlockWords = 1 + kGroupsPerScaleWord;                // 33
+    constexpr std::size_t kChunkWords = 1 + kScaleBlocksPerChunk * kBlockWords;  // 133
+    const std::size_t in_chunk = index % kChunkWords;
+    if (in_chunk == 0) return WordKind::kZero;
+    return (in_chunk - 1) % kBlockWords == 0 ? WordKind::kScale : WordKind::kWeight;
 }
 
-std::optional<DecodedGroup> WeightStreamDecoder::consume(const Word512& word) {
+}  // namespace
+
+WeightStreamDecoder::WeightStreamDecoder(std::size_t num_groups)
+    : num_groups_(num_groups), num_words_(stream_words(num_groups)) {}
+
+WordKind WeightStreamDecoder::expected_kind() const {
+    check(cursor_ < num_words_, "WeightStreamDecoder: stream already complete");
+    return word_kind_at(cursor_);
+}
+
+std::optional<PackedGroup> WeightStreamDecoder::consume_packed(const Word512& word) {
     const WordKind kind = expected_kind();
     ++cursor_;
     switch (kind) {
@@ -132,21 +147,25 @@ std::optional<DecodedGroup> WeightStreamDecoder::consume(const Word512& word) {
             scale_word_ = word;
             return std::nullopt;
         case WordKind::kWeight: {
-            DecodedGroup grp;
             // Group offsets within the current chunk / scale block derive from
             // how many groups this chunk has already produced.
             const std::size_t chunk_off = groups_done_ % kGroupsPerZeroWord;
             const std::size_t block_off = chunk_off % kGroupsPerScaleWord;
-            for (std::size_t n = 0; n < kFormatGroupSize; ++n) {
-                grp.codes[n] = word.nibble(n);
-            }
-            grp.scale = scale_word_.half(block_off);
-            grp.zero = zero_word_.nibble(chunk_off);
             ++groups_done_;
-            return grp;
+            return PackedGroup{scale_word_.half(block_off), zero_word_.nibble(chunk_off)};
         }
     }
     return std::nullopt;
+}
+
+std::optional<DecodedGroup> WeightStreamDecoder::consume(const Word512& word) {
+    const std::optional<PackedGroup> packed = consume_packed(word);
+    if (!packed) return std::nullopt;
+    DecodedGroup grp;
+    for (std::size_t n = 0; n < kFormatGroupSize; ++n) grp.codes[n] = word.nibble(n);
+    grp.scale = packed->scale;
+    grp.zero = packed->zero;
+    return grp;
 }
 
 }  // namespace efld::quant

@@ -59,6 +59,12 @@ struct DecodedGroup {
     std::uint8_t zero = 0;
 };
 
+// A weight word's group parameters; its codes stay packed in the word.
+struct PackedGroup {
+    Fp16 scale;
+    std::uint8_t zero = 0;
+};
+
 // Streaming decoder: feed bus words in arrival order; weight words pop out as
 // decoded groups with their scale/zero attached. Models the MCU demux +
 // scale/zero registers (only one zero word and one scale word are ever
@@ -70,15 +76,18 @@ public:
     // Consumes the next word; returns a group when the word was weight data.
     std::optional<DecodedGroup> consume(const Word512& word);
 
+    // Same, leaving the codes packed in `word` (what the VPU dequantizes).
+    std::optional<PackedGroup> consume_packed(const Word512& word);
+
     [[nodiscard]] bool done() const noexcept { return groups_done_ == num_groups_; }
     [[nodiscard]] std::size_t groups_done() const noexcept { return groups_done_; }
     [[nodiscard]] WordKind expected_kind() const;
 
 private:
     std::size_t num_groups_;
+    std::size_t num_words_;
     std::size_t groups_done_ = 0;
-    std::vector<WordKind> schedule_;
-    std::size_t cursor_ = 0;
+    std::size_t cursor_ = 0;  // index of the next word; its kind follows from it
     Word512 zero_word_{};
     Word512 scale_word_{};
 };

@@ -1,6 +1,8 @@
 // VPU: dequantization unit and FP16 dot engine.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "accel/vpu.hpp"
 #include "common/rng.hpp"
 #include "quant/weight_format.hpp"
@@ -38,7 +40,8 @@ TEST(DequantUnit, CodesOverloadAgrees) {
 TEST(DequantUnit, KvVariant) {
     const std::vector<std::uint8_t> codes{0, 100, 200, 255};
     quant::KvQuantParams p{Fp16::from_float(0.5f), 100};
-    const auto vals = DequantUnit::run_kv(codes, p);
+    std::vector<Fp16> vals(codes.size());
+    DequantUnit::run_kv(codes, p, vals);
     EXPECT_FLOAT_EQ(vals[0].to_float(), -50.0f);
     EXPECT_FLOAT_EQ(vals[1].to_float(), 0.0f);
     EXPECT_FLOAT_EQ(vals[2].to_float(), 50.0f);
@@ -117,6 +120,154 @@ TEST(Fp16Bridge, RoundTrips) {
     const auto h = to_fp16(xs);
     const auto back = to_float(h);
     for (std::size_t i = 0; i < xs.size(); ++i) EXPECT_FLOAT_EQ(back[i], xs[i]);
+}
+
+// ---- vector kernel == scalar reference --------------------------------------
+
+// A random fp16 lane: N(0, sigma) most of the time, otherwise (with
+// probability `special_pct` %) ±inf, a NaN, a subnormal, or a magnitude near
+// 65504 so products and tree nodes overflow. NaNs are negative unless
+// `both_nan_signs`: x86's own NaNs (inf - inf, 0 · inf) are negative and
+// every op keeps a NaN operand's sign, so one sign makes every output bit
+// independent of operand order.
+Fp16 random_lane(Xoshiro256& rng, double sigma, std::uint64_t special_pct,
+                 bool both_nan_signs = false) {
+    if (rng.below(100) >= special_pct) {
+        return Fp16::from_float(static_cast<float>(rng.gaussian(0.0, sigma)));
+    }
+    const std::uint16_t sign = rng.below(2) ? 0x8000 : 0x0000;
+    switch (rng.below(4)) {
+        case 0:
+            return Fp16::from_bits(static_cast<std::uint16_t>(sign | 0x7C00));
+        case 1: {
+            // Quiet or signaling, with a payload.
+            const std::uint16_t nan_sign = both_nan_signs ? sign : 0x8000;
+            const auto payload = static_cast<std::uint16_t>(1 + rng.below(0x3FF));
+            return Fp16::from_bits(static_cast<std::uint16_t>(nan_sign | 0x7C00 | payload));
+        }
+        case 2:
+            return Fp16::from_bits(static_cast<std::uint16_t>(sign | (1 + rng.below(0x3FF))));
+        default:
+            return Fp16::from_float((sign ? -1.0f : 1.0f) *
+                                    static_cast<float>(rng.uniform(2e4, 65504.0)));
+    }
+}
+
+std::vector<Fp16> random_lanes(Xoshiro256& rng, std::size_t n, double sigma,
+                               std::uint64_t special_pct, bool both_nan_signs = false) {
+    std::vector<Fp16> v(n);
+    for (auto& x : v) x = random_lane(rng, sigma, special_pct, both_nan_signs);
+    return v;
+}
+
+// Runs `f` once per lane kernel; returns {scalar reference, vector}.
+template <typename F>
+auto both_kernels(F&& f) {
+    decltype(f()) ref, vec;
+    {
+        const ScopedLaneKernel pin(LaneKernel::kScalar);
+        ref = f();
+    }
+    {
+        const ScopedLaneKernel pin(LaneKernel::kVector);
+        vec = f();
+    }
+    return std::make_pair(ref, vec);
+}
+
+class VectorKernel : public ::testing::Test {
+protected:
+    void SetUp() override {
+        if (!vector_kernel_supported()) GTEST_SKIP() << "CPU lacks AVX2/F16C";
+    }
+};
+
+TEST_F(VectorKernel, IsTheDefaultWhenSupported) {
+    EXPECT_EQ(active_lane_kernel(), LaneKernel::kVector);
+    {
+        const ScopedLaneKernel pin(LaneKernel::kScalar);
+        EXPECT_EQ(active_lane_kernel(), LaneKernel::kScalar);
+    }
+    EXPECT_EQ(active_lane_kernel(), LaneKernel::kVector);
+}
+
+TEST_F(VectorKernel, TreeSumAndDotAreBitIdenticalToScalar) {
+    Xoshiro256 rng(11);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const std::size_t n = rng.below(300);
+        const std::uint64_t special = trial % 3 == 0 ? 0 : (trial % 3 == 1 ? 2 : 15);
+        const auto a = random_lanes(rng, n, 1.0, special);
+        const auto b = random_lanes(rng, n, 4.0, special);
+        const std::size_t n128 = std::min<std::size_t>(n, kVpuLanes);
+        const std::span<const Fp16> a128(a.data(), n128), b128(b.data(), n128);
+
+        const auto [t_ref, t_vec] = both_kernels([&] { return DotEngine::tree_sum(a); });
+        const auto [d_ref, d_vec] = both_kernels([&] { return DotEngine::dot(a, b); });
+        const auto [w_ref, w_vec] = both_kernels([&] { return DotEngine::dot128(a128, b128); });
+        ASSERT_EQ(t_vec.bits(), t_ref.bits()) << "tree_sum n=" << n << " trial " << trial;
+        ASSERT_EQ(d_vec.bits(), d_ref.bits()) << "dot n=" << n << " trial " << trial;
+        ASSERT_EQ(w_vec.bits(), w_ref.bits()) << "dot128 n=" << n128 << " trial " << trial;
+    }
+}
+
+TEST_F(VectorKernel, GemvIsBitIdenticalToScalar) {
+    // Shapes with one and several groups per row, and enough groups for full
+    // and partial 128-group chunks and 32-group scale blocks.
+    Xoshiro256 rng(12);
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {1, 128}, {3, 256}, {8, 640}, {130, 128}, {37, 384}, {96, 256}};
+    for (const auto& [rows, cols] : shapes) {
+        for (const std::uint64_t special : {0u, 1u, 10u}) {
+            const std::size_t groups = rows * cols / kVpuLanes;
+            std::vector<std::uint8_t> codes(rows * cols), zeros(groups);
+            for (auto& c : codes) c = static_cast<std::uint8_t>(rng.below(16));
+            for (auto& z : zeros) z = static_cast<std::uint8_t>(rng.below(16));
+            const auto scales = random_lanes(rng, groups, 0.02, special);
+            const auto layer = quant::QuantizedLinear::from_parts(codes, scales, zeros, rows,
+                                                                  cols, {});
+            const auto stream = quant::pack_weight_stream(layer);
+            const auto x = random_lanes(rng, cols, 2.0, special);
+
+            const auto [ref, vec] = both_kernels([&] {
+                std::vector<Fp16> y(rows);
+                DotEngine::gemv(stream, rows, cols, x, y);
+                return y;
+            });
+            for (std::size_t r = 0; r < rows; ++r) {
+                ASSERT_EQ(vec[r].bits(), ref[r].bits())
+                    << rows << "x" << cols << " special " << special << "% row " << r;
+            }
+        }
+    }
+}
+
+TEST_F(VectorKernel, NanSignIsTheOnlyFreedomWithMixedSignNans) {
+    // With NaNs of both signs, an add of two NaNs may keep either sign
+    // depending on operand order; everything else must still match bit for
+    // bit, and NaN-ness always.
+    Xoshiro256 rng(13);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::size_t n = 1 + rng.below(256);
+        const auto a = random_lanes(rng, n, 1.0, 5, /*both_nan_signs=*/true);
+        const auto b = random_lanes(rng, n, 1.0, 5, /*both_nan_signs=*/true);
+        const auto [ref, vec] = both_kernels([&] { return DotEngine::dot(a, b); });
+        if (ref.is_nan()) {
+            ASSERT_TRUE(vec.is_nan()) << "trial " << trial;
+        } else {
+            ASSERT_EQ(vec.bits(), ref.bits()) << "trial " << trial;
+        }
+    }
+}
+
+TEST(LaneKernel, ScalarPinIsAlwaysHonoured) {
+    const ScopedLaneKernel pin(LaneKernel::kScalar);
+    EXPECT_EQ(active_lane_kernel(), LaneKernel::kScalar);
+    {
+        const ScopedLaneKernel inner(LaneKernel::kVector);
+        EXPECT_EQ(active_lane_kernel(), vector_kernel_supported() ? LaneKernel::kVector
+                                                                  : LaneKernel::kScalar);
+    }
+    EXPECT_EQ(active_lane_kernel(), LaneKernel::kScalar);
 }
 
 }  // namespace

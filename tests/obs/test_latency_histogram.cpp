@@ -94,6 +94,22 @@ TEST(LatencyHistogram, QuantileOfSingleValue) {
     }
 }
 
+TEST(LatencyHistogram, ExtremeQuantilesAreTheObservedMinAndMax) {
+    // 200 and 193 each sit alone in a bucket wider than one value, where
+    // interpolation would answer near the bucket midpoint (199 for the
+    // {10, 30, 200} case) instead of the sample itself.
+    LatencyHistogram h;
+    for (const std::uint64_t v : {10u, 30u, 200u}) h.record(v);
+    const HistogramSnapshot s = h.snapshot();
+    EXPECT_EQ(s.quantile(1.0), 200u);
+    EXPECT_EQ(s.quantile(1.0), s.max);
+
+    LatencyHistogram low;
+    low.record(193);
+    low.record(5000);
+    EXPECT_EQ(low.snapshot().quantile(0.0), 193u);
+}
+
 TEST(LatencyHistogram, EmptySnapshotIsSafe) {
     const HistogramSnapshot s = LatencyHistogram().snapshot();
     EXPECT_TRUE(s.empty());

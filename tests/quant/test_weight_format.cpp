@@ -94,15 +94,17 @@ TEST(WeightFormat, DecoderAttachesCorrectScaleZero) {
 }
 
 TEST(WeightFormat, DecoderExpectedKindFollowsSchedule) {
-    const std::size_t groups = 70;
-    const auto sched = stream_schedule(groups);
-    WeightStreamDecoder dec(groups);
-    for (const auto kind : sched) {
-        EXPECT_EQ(dec.expected_kind(), kind);
-        (void)dec.consume(Word512{});
+    // Partial and full scale blocks and chunks, and several chunks.
+    for (const std::size_t groups : {1u, 31u, 32u, 33u, 70u, 128u, 129u, 300u, 512u}) {
+        const auto sched = stream_schedule(groups);
+        WeightStreamDecoder dec(groups);
+        for (const auto kind : sched) {
+            ASSERT_EQ(dec.expected_kind(), kind) << "groups=" << groups;
+            (void)dec.consume(Word512{});
+        }
+        EXPECT_TRUE(dec.done());
+        EXPECT_THROW((void)dec.expected_kind(), efld::Error);
     }
-    EXPECT_TRUE(dec.done());
-    EXPECT_THROW((void)dec.expected_kind(), efld::Error);
 }
 
 TEST(WeightFormat, RejectsWrongGroupSize) {
