@@ -20,8 +20,9 @@
 //   --serve-seconds S   serve for S seconds instead of until stdin EOF
 //   --metrics-dump S    print the cluster's Prometheus snapshot every S
 //                       seconds while serving (same body a kMetrics wire
-//                       scrape returns), plus a one-line windowed-rates
-//                       summary (trailing 10s arrivals/tokens per second)
+//                       scrape returns), plus a one-line summary of the
+//                       arrivals/tokens/deferrals/failovers per second since
+//                       the previous dump (counter deltas)
 //   --trace-out PATH    enable the trace ring + per-phase profiler and write
 //                       the Perfetto timeline JSON to PATH at exit (the same
 //                       body a kTraceDump wire request returns live)
@@ -39,6 +40,7 @@
 //                       DIR on shard failure or alert firing (works alone
 //                       for shard-failure capture; pair with --slo for
 //                       alert-triggered bundles)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -174,27 +176,41 @@ int main(int argc, char** argv) {
     std::thread dumper;
     if (metrics_dump_seconds > 0) {
         dumper = std::thread([&] {
+            // The rates of the last interval come from counter deltas between
+            // consecutive dumps: what the cluster is doing RIGHT NOW, not
+            // since boot (the cumulative counters in the body).
+            obs::MetricsSnapshot prev;
+            auto prev_t = std::chrono::steady_clock::now();
             std::unique_lock<std::mutex> lk(dump_mu);
             while (!dump_cv.wait_for(lk,
                                      std::chrono::seconds(metrics_dump_seconds),
                                      [&] { return dump_stop; })) {
                 lk.unlock();
                 const obs::MetricsSnapshot snap = d.router->metrics_snapshot();
+                const auto now = std::chrono::steady_clock::now();
+                const double dt =
+                    std::chrono::duration<double>(now - prev_t).count();
                 std::printf("--- metrics dump ---\n%s",
                             obs::to_prometheus(snap).c_str());
-                // The windowed view: what the cluster is doing RIGHT NOW,
-                // not since boot (the cumulative counters above).
-                const auto gauge = [&](const char* name) {
-                    const auto it = snap.gauges.find(name);
-                    return it == snap.gauges.end() ? 0.0 : it->second;
+                const auto per_s = [&](const char* counter) {
+                    const auto value = [counter](const obs::MetricsSnapshot& s) {
+                        const auto it = s.counters.find(counter);
+                        return it == s.counters.end()
+                                   ? 0.0
+                                   : static_cast<double>(it->second);
+                    };
+                    // A restarted shard counts from zero again: clamp at 0.
+                    return std::max(0.0, value(snap) - value(prev)) / dt;
                 };
                 std::printf(
-                    "window[10s]: %.1f arrivals/s, %.1f tokens/s, "
+                    "last %.1fs: %.1f arrivals/s, %.1f tokens/s, "
                     "%.1f deferrals/s, %.1f failovers/s\n",
-                    gauge("serve_arrivals_per_s_window_10s"),
-                    gauge("serve_tokens_per_s_window_10s"),
-                    gauge("serve_deferrals_per_s_window_10s"),
-                    gauge("serve_failovers_per_s_window_10s"));
+                    dt, per_s("serve_requests_submitted"),
+                    per_s("serve_generated_tokens"),
+                    per_s("serve_capacity_deferrals"),
+                    per_s("serve_requests_resumed"));
+                prev = snap;
+                prev_t = now;
                 std::fflush(stdout);
                 lk.lock();
             }

@@ -1,8 +1,8 @@
 // The one windowed-history primitive: a ring of fixed-width time buckets.
 //
-// RollingWindow (the serve engine's 1s/10s/60s windows) and every
-// TimeSeriesStore level keep their history in a TimeRing, and the ring alone
-// owns the bucket arithmetic:
+// Every TimeSeriesStore level and the serve engine's 10 s TTFT window (its
+// overload-shedding estimate) keep their history in a TimeRing, and the ring
+// alone owns the bucket arithmetic:
 //   - a time t lands in bucket index t / step, stored in slot index % slots;
 //   - writing to a slot that holds another index (the ring lapped it, or it
 //     was never used) recycles it to a fresh Cell first;
@@ -13,7 +13,7 @@
 //     the ring is never read.
 //
 // Cells are plain aggregates (a scalar sum, a sparse HistogramCell). The ring
-// is not thread-safe: its owner locks around it.
+// is not thread-safe: its owner locks around it or keeps it to one thread.
 #pragma once
 
 #include <algorithm>
@@ -40,10 +40,6 @@ public:
         return s.cell;
     }
 
-    // Buckets in a trailing window of window_ns: window_ns / step, at least 1.
-    [[nodiscard]] std::uint64_t span_of(std::uint64_t window_ns) const noexcept {
-        return std::max<std::uint64_t>(window_ns / step_, 1);
-    }
     // Buckets from from_ns's through to_ns's, inclusive; 0 when from > to.
     [[nodiscard]] std::uint64_t span_between(std::uint64_t from_ns,
                                              std::uint64_t to_ns) const noexcept {
@@ -61,15 +57,6 @@ public:
             const Slot& s = slots_[i % slots_.size()];
             if (s.index == i) f(i * step_, s.cell);
         }
-    }
-
-    // The time a window of `span` buckets ending at now_ns has actually
-    // covered: span - 1 whole buckets plus the elapsed part of the current
-    // one, at least 1 ns. Rates divide by this, not by span * step.
-    [[nodiscard]] std::uint64_t covered_ns(std::uint64_t now_ns,
-                                           std::uint64_t span) const noexcept {
-        span = std::clamp<std::uint64_t>(span, 1, slots_.size());
-        return std::max<std::uint64_t>((span - 1) * step_ + now_ns % step_, 1);
     }
 
 private:

@@ -74,7 +74,12 @@ void RequestQueue::wait_for_work(const std::function<bool()>& wake) {
     cv_.wait(lock, [&] { return !q_.empty() || wake(); });
 }
 
-void RequestQueue::notify_all() { cv_.notify_all(); }
+void RequestQueue::notify_all() {
+    // Under m_: a waiter between its wake() check and blocking would miss a
+    // bare notify and sleep forever; the lock orders the notify after it.
+    const std::lock_guard<std::mutex> lock(m_);
+    cv_.notify_all();
+}
 
 std::vector<PendingRequest> RequestQueue::remove_if(
     const std::function<bool(const PendingRequest&)>& pred) {

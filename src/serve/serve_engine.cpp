@@ -166,13 +166,6 @@ void ServeEngine::init() {
     hist_ttft_ = &metrics_.histogram("serve_ttft_ns");
     hist_intertoken_ = &metrics_.histogram("serve_intertoken_gap_ns");
     hist_e2e_ = &metrics_.histogram("serve_e2e_ns");
-    // Rolling windows are always on (they cost a mutexed bucket bump at
-    // control-plane rate); the profiler costs are opt-in.
-    win_arrivals_ = std::make_unique<obs::RollingWindow>(clock_);
-    win_deferrals_ = std::make_unique<obs::RollingWindow>(clock_);
-    win_failovers_ = std::make_unique<obs::RollingWindow>(clock_);
-    win_tokens_ = std::make_unique<obs::RollingWindow>(clock_);
-    win_ttft_ = std::make_unique<obs::RollingWindow>(clock_);
     if (opts_.profile) {
         prof_.enable(clock_, opts_.shard_id, opts_.profiler_spans);
         prof_.bind_registry(metrics_);
@@ -212,7 +205,10 @@ PendingRequest ServeEngine::make_pending(
               "ServeEngine: prompt + max_new demand exceeds the whole KV pool");
     }
     req.submitted_ns = clock_->now_ns();
-    win_arrivals_->add();
+    {
+        const std::lock_guard<std::mutex> g(stats_mu_);
+        ++stats_.requests_submitted;
+    }
     trace(req.id, obs::TraceEvent::kSubmitted, req.prompt.size());
     return req;
 }
@@ -334,7 +330,6 @@ void ServeEngine::admit() {
             // The pick (scheduler's or promoted) does not fit the pool yet.
             // It stays queued in place and admission stops for this boundary —
             // strict policy order, so a big request is delayed, never starved.
-            win_deferrals_->add();
             const std::lock_guard<std::mutex> g(stats_mu_);
             ++stats_.capacity_deferrals;
             return;
@@ -601,7 +596,6 @@ bool ServeEngine::resubmit(PendingRequest& req) {
     const std::uint64_t id = req.id;
     const std::size_t failover_count = req.failovers;
     if (!queue_.push(std::move(req))) return false;  // full: req left intact
-    win_failovers_->add();
     {
         const std::lock_guard<std::mutex> g(stats_mu_);
         ++stats_.requests_resumed;
@@ -665,7 +659,11 @@ bool ServeEngine::step_locked() {
     // with kShedOverload (not kDeadline: the deadline has NOT passed yet;
     // the caller learns it was load-shed, the HTTP-503 of admission).
     if (opts_.overload != nullptr && opts_.overload->shed_hopeless()) {
-        const obs::HistogramSnapshot w = win_ttft_->over(10'000'000'000ull);
+        obs::HistogramSnapshot w;
+        ttft_window_.for_each(clock_->now_ns(), ttft_window_.slots(),
+                              [&w](std::uint64_t, const obs::HistogramCell& c) {
+                                  c.merge_into(w);
+                              });
         if (w.count > 0) {
             const double est_ns =
                 w.mean() * opts_.overload->options().hopeless_margin;
@@ -833,7 +831,7 @@ bool ServeEngine::step_locked() {
                 const std::uint64_t ttft =
                     step_ns > s.submitted_ns ? step_ns - s.submitted_ns : 0;
                 hist_ttft_->record(ttft);
-                win_ttft_->record(ttft);
+                ttft_window_.at(step_ns).record(ttft);
             }
             trace(s.id, obs::TraceEvent::kFirstToken,
                   static_cast<std::uint64_t>(static_cast<std::uint32_t>(next)));
@@ -860,7 +858,6 @@ bool ServeEngine::step_locked() {
             s.pending_token = next;
         }
     }
-    if (step_generated_tokens > 0) win_tokens_->add(step_generated_tokens);
     {
         const std::lock_guard<std::mutex> g(stats_mu_);
         stats_.prompt_tokens += step_prompt_tokens;
@@ -916,10 +913,12 @@ void ServeEngine::driver_loop() {
         driver_error_ = std::current_exception();
     }
     {
+        // Under idle_mu_, like driver_busy_: a wait_until_idle() between its
+        // predicate check and blocking must not miss the driver's exit.
         const std::lock_guard<std::mutex> lock(idle_mu_);
         driver_busy_ = false;
+        driver_running_.store(false, std::memory_order_release);
     }
-    driver_running_.store(false, std::memory_order_release);
     idle_cv_.notify_all();  // waiters observe !running() and return
 }
 
@@ -1007,6 +1006,7 @@ obs::MetricsSnapshot ServeEngine::metrics_snapshot() const {
     s.set_counter("serve_prompt_tokens", l.stats.prompt_tokens);
     s.set_counter("serve_generated_tokens", l.stats.generated_tokens);
     s.set_counter("serve_replayed_tokens", l.stats.replayed_tokens);
+    s.set_counter("serve_requests_submitted", l.stats.requests_submitted);
     s.set_counter("serve_requests_completed", l.stats.requests_completed);
     s.set_counter("serve_requests_cancelled", l.stats.requests_cancelled);
     s.set_counter("serve_requests_expired", l.stats.requests_expired);
@@ -1054,27 +1054,6 @@ obs::MetricsSnapshot ServeEngine::metrics_snapshot() const {
         s.set_counter("serve_trace_dropped_total", opts_.trace->dropped());
     }
     if (prof_.enabled()) prof_.export_into(s);
-    // Rolling-window series: rates as gauges (gauges ADD on cluster merge,
-    // so the cluster's windowed rate is the sum of shard rates), windowed
-    // TTFT as histograms (buckets merge, quantiles come out the other side).
-    static constexpr struct {
-        const char* suffix;
-        std::uint64_t ns;
-    } kWindows[] = {{"1s", 1'000'000'000ull},
-                    {"10s", 10'000'000'000ull},
-                    {"60s", 60'000'000'000ull}};
-    for (const auto& w : kWindows) {
-        s.set_gauge(std::string("serve_arrivals_per_s_window_") + w.suffix,
-                    win_arrivals_->rate_per_s(w.ns));
-        s.set_gauge(std::string("serve_deferrals_per_s_window_") + w.suffix,
-                    win_deferrals_->rate_per_s(w.ns));
-        s.set_gauge(std::string("serve_failovers_per_s_window_") + w.suffix,
-                    win_failovers_->rate_per_s(w.ns));
-        s.set_gauge(std::string("serve_tokens_per_s_window_") + w.suffix,
-                    win_tokens_->rate_per_s(w.ns));
-    }
-    s.histograms["serve_ttft_ns_window_10s"] = win_ttft_->over(10'000'000'000ull);
-    s.histograms["serve_ttft_ns_window_60s"] = win_ttft_->over(60'000'000'000ull);
     return s;
 }
 

@@ -65,7 +65,7 @@
 #include "obs/clock.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
-#include "obs/rolling_window.hpp"
+#include "obs/time_ring.hpp"
 #include "obs/trace.hpp"
 #include "serve/overload.hpp"
 #include "serve/request_queue.hpp"
@@ -334,15 +334,12 @@ private:
     obs::LatencyHistogram* hist_ttft_ = nullptr;
     obs::LatencyHistogram* hist_intertoken_ = nullptr;
     obs::LatencyHistogram* hist_e2e_ = nullptr;
-    // Phase profiler (inert unless opts_.profile) and the always-on rolling
-    // windows behind the *_window_* series (constructed at init once the
-    // clock is resolved; 64 one-second buckets each).
+    // Phase profiler (inert unless opts_.profile).
     obs::Profiler prof_;
-    std::unique_ptr<obs::RollingWindow> win_arrivals_;
-    std::unique_ptr<obs::RollingWindow> win_deferrals_;
-    std::unique_ptr<obs::RollingWindow> win_failovers_;
-    std::unique_ptr<obs::RollingWindow> win_tokens_;
-    std::unique_ptr<obs::RollingWindow> win_ttft_;  // value-recording
+    // TTFTs of the last 10 s on clock_ (10 one-second buckets): the overload
+    // sweep's estimate. Written and read only inside step_locked(), on the
+    // one stepping thread, so it takes no lock.
+    obs::TimeRing<obs::HistogramCell> ttft_window_{1'000'000'000, 10};
     engine::BackendBundle bundle_;              // owns the backend (+ packed image)
     engine::DecodeBackend* backend_ = nullptr;  // = bundle_.backend.get()
     std::unique_ptr<Scheduler> scheduler_;

@@ -195,6 +195,7 @@ struct ServeStats {
     std::size_t lane_steps = 0;          // sum of batch sizes over steps
     std::size_t prompt_tokens = 0;       // prefill tokens fed
     std::size_t generated_tokens = 0;    // sampled tokens
+    std::size_t requests_submitted = 0;  // arrivals: submits past validation
     std::size_t requests_completed = 0;  // every retirement, any reason
     std::size_t requests_cancelled = 0;
     std::size_t requests_expired = 0;    // deadline retirements

@@ -5,7 +5,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <exception>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -253,6 +257,55 @@ TEST(ServeDriver, HandlesOutliveTheEngine) {
     EXPECT_TRUE(queued_h->get().tokens.empty());
     inflight_h->cancel();  // writes shared state the handle co-owns; no UAF
     EXPECT_TRUE(inflight_h->done());
+}
+
+TEST(ServeDriver, StopAndIdleWaitNeverMissAWakeup) {
+    // run()/wait_until_idle()/stop() cycled on idle engines: stop() must
+    // wake a driver that has just checked for work but not yet blocked, or
+    // the driver sleeps forever and stop() hangs in join(). Eight engines
+    // cycle at once, each from its own thread (at most 17 threads: 8
+    // cyclers, 8 drivers, main). A watchdog fails the test instead of
+    // letting a lost wakeup hang it.
+    constexpr int kEngines = 8;
+#if defined(__SANITIZE_THREAD__)
+    constexpr int kCycles = 1'000;  // TSan makes each thread start ~100x dearer
+#else
+    constexpr int kCycles = 20'000;
+#endif
+    std::vector<runtime::ServeDeployment> engines;
+    for (int e = 0; e < kEngines; ++e) {
+        ServeOptions o;
+        o.max_batch = 1;
+        engines.push_back(deploy(o));
+    }
+    std::mutex mu;
+    std::condition_variable cv;
+    int finished = 0;
+    std::vector<std::thread> cyclers;
+    for (runtime::ServeDeployment& d : engines) {
+        cyclers.emplace_back([&, engine = d.engine.get()] {
+            for (int c = 0; c < kCycles; ++c) {
+                engine->run();
+                engine->wait_until_idle();
+                engine->stop();
+            }
+            const std::lock_guard<std::mutex> lock(mu);
+            ++finished;
+            cv.notify_all();
+        });
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(30),
+                     [&] { return finished == kEngines; })) {
+        // The stuck threads cannot be joined: report and leave at once.
+        ADD_FAILURE() << finished << " of " << kEngines
+                      << " engines finished their run/idle/stop cycles in 30 s";
+        std::fflush(stdout);
+        std::_Exit(1);
+    }
+    lock.unlock();
+    for (std::thread& t : cyclers) t.join();
+    for (runtime::ServeDeployment& d : engines) EXPECT_FALSE(d.engine->running());
 }
 
 }  // namespace
